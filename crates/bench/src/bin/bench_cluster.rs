@@ -5,14 +5,14 @@
 //! fleet workload (`tpu_bench::fleet_tenants`) twice in the same
 //! process on the same machine:
 //!
-//! * **baseline** — the pre-PR hot path: the reference `BinaryHeap`
-//!   event queue (`TPU_SIM_EVENT_QUEUE=heap`) and the per-arrival
-//!   scan-and-allocate router (`TPU_CLUSTER_ROUTER=scan`);
-//! * **current** — the timer-wheel event core and the indexed
-//!   least-outstanding router.
+//! * **baseline** — `tpu_cluster::reference::Engine::Baseline`, the
+//!   pre-optimization hot path: the reference `BinaryHeap` event queue
+//!   and the per-arrival scan-and-allocate router;
+//! * **current** — `run_fleet`: the timer-wheel event core and the
+//!   indexed least-outstanding router.
 //!
-//! Both modes are bit-identical in their reports (asserted here on
-//! every run — the escape hatches only change speed), so the speedup
+//! Both engines are bit-identical in their reports (asserted here on
+//! every run — the baseline only changes speed), so the speedup
 //! column is a like-for-like measurement taken in one run. `--check
 //! FILE` compares the measured 100-host *speedup* against the
 //! committed `BENCH_cluster.json` and fails (exit 1) on a regression
@@ -30,9 +30,10 @@
 //! 100k-record request log (gated on log depth and a finite positive
 //! rate).
 //!
-//! The `sharded` rows measure the multi-core fleet engine against the
-//! forced single-threaded reference (`TPU_CLUSTER_ENGINE=single`) on
-//! the cell-structured sweep workload, asserting bit-identical reports
+//! The `sharded` rows measure the multi-core fleet engine
+//! (`Engine::Sharded` over every available core) against the
+//! single-threaded engine (`Engine::Single`) on the cell-structured
+//! sweep workload, asserting bit-identical reports
 //! on every run; `--check` enforces a ≥2x absolute floor at 1000 hosts
 //! on machines with ≥4 cores (skipped, loudly, below that).
 //!
@@ -46,6 +47,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use tpu_analyze::Attribution;
 use tpu_bench::{colocate_fleet, fleet_tenants, resilient_fleet, sweep_fleet};
+use tpu_cluster::reference::{self, Engine};
 use tpu_cluster::{
     run_fleet, run_fleet_telemetry, FleetRun, FleetSpec, FleetTenantSpec, HopModel, RouterPolicy,
 };
@@ -53,7 +55,7 @@ use tpu_core::TpuConfig;
 use tpu_monitor::{FleetMonitor, MonitorConfig};
 use tpu_telemetry::{MetricsConfig, RequestLog, RunTelemetry, TelemetryConfig};
 
-/// Requests per host at each fleet size (matches `benches/cluster.rs`).
+/// Requests per host at each fleet size.
 const REQUESTS_PER_HOST: usize = 2_000;
 
 /// Fleet size of the co-located (weight-swap) measurement.
@@ -103,21 +105,16 @@ fn spec_for(hosts: usize) -> (FleetSpec, Vec<FleetTenantSpec>) {
     (spec, fleet_tenants(hosts, REQUESTS_PER_HOST * hosts))
 }
 
-/// Run the fleet until `budget_ms` of wall clock is spent (at least
+/// Repeat `run` until `budget_ms` of wall clock is spent (at least
 /// twice), returning events/sec and the last run for identity checks.
-fn measure(
-    spec: &FleetSpec,
-    tenants: &[FleetTenantSpec],
-    cfg: &TpuConfig,
-    budget_ms: u64,
-) -> (f64, u64, FleetRun) {
+fn measure(budget_ms: u64, run: impl Fn() -> FleetRun) -> (f64, u64, FleetRun) {
     // One untimed warmup (page-in, allocator growth).
-    let mut last = run_fleet(spec, tenants, cfg);
+    let mut last = run();
     let events = last.report.events_processed;
     let start = Instant::now();
     let mut iters = 0u64;
     while iters < 2 || start.elapsed().as_millis() < budget_ms as u128 {
-        last = run_fleet(spec, tenants, cfg);
+        last = run();
         iters += 1;
     }
     let elapsed = start.elapsed().as_secs_f64();
@@ -241,9 +238,9 @@ impl Row {
 }
 
 /// The sharded-engine measurement: the same cell-structured workload
-/// (`tpu_bench::sweep_fleet`, one component per 10-host cell) under
-/// the forced single-threaded reference and the sharded multi-core
-/// engine, in one process. The two are bit-identical in their reports
+/// (`tpu_bench::sweep_fleet`, one component per 10-host cell) on the
+/// single-threaded engine and the sharded multi-core engine, in one
+/// process. The two are bit-identical in their reports
 /// — asserted on every run; that is the engine's determinism contract
 /// — so the same-run ratio is a like-for-like measurement of the
 /// parallel (plus per-shard locality) win.
@@ -690,13 +687,10 @@ fn main() -> ExitCode {
     for &hosts in &hosts_list {
         let (spec, tenants) = spec_for(hosts);
 
-        std::env::set_var("TPU_SIM_EVENT_QUEUE", "heap");
-        std::env::set_var("TPU_CLUSTER_ROUTER", "scan");
-        let (baseline_eps, events, baseline_run) = measure(&spec, &tenants, &cfg, budget_ms);
-
-        std::env::remove_var("TPU_SIM_EVENT_QUEUE");
-        std::env::remove_var("TPU_CLUSTER_ROUTER");
-        let (current_eps, _, current_run) = measure(&spec, &tenants, &cfg, budget_ms);
+        let (baseline_eps, events, baseline_run) = measure(budget_ms, || {
+            reference::run(Engine::Baseline, &spec, &tenants, &cfg)
+        });
+        let (current_eps, _, current_run) = measure(budget_ms, || run_fleet(&spec, &tenants, &cfg));
 
         assert_eq!(
             baseline_run, current_run,
@@ -722,18 +716,15 @@ fn main() -> ExitCode {
 
     // The co-located case: same machinery, weight-swap hot path on
     // (bin-packed placement, swap events, warm-die dispatch, swap-aware
-    // routing). Both modes must still be bit-identical — the escape
-    // hatches never touch the weight subsystem.
+    // routing). Both engines must still be bit-identical — the
+    // baseline never touches the weight subsystem.
     let colocate_row = if run_colocate {
         let (spec, tenants) = colocate_fleet(COLOCATE_HOSTS, REQUESTS_PER_HOST * COLOCATE_HOSTS);
 
-        std::env::set_var("TPU_SIM_EVENT_QUEUE", "heap");
-        std::env::set_var("TPU_CLUSTER_ROUTER", "scan");
-        let (baseline_eps, events, baseline_run) = measure(&spec, &tenants, &cfg, budget_ms);
-
-        std::env::remove_var("TPU_SIM_EVENT_QUEUE");
-        std::env::remove_var("TPU_CLUSTER_ROUTER");
-        let (current_eps, _, current_run) = measure(&spec, &tenants, &cfg, budget_ms);
+        let (baseline_eps, events, baseline_run) = measure(budget_ms, || {
+            reference::run(Engine::Baseline, &spec, &tenants, &cfg)
+        });
+        let (current_eps, _, current_run) = measure(budget_ms, || run_fleet(&spec, &tenants, &cfg));
 
         assert_eq!(
             baseline_run, current_run,
@@ -757,21 +748,20 @@ fn main() -> ExitCode {
         None
     };
 
-    // The sharded-engine pair: the cell-structured sweep workload under
-    // the forced single-threaded reference, then the forced sharded
-    // engine (workers = available cores). Bit-identity is the contract;
-    // it is asserted on every size.
+    // The sharded-engine pair: the cell-structured sweep workload on
+    // the single-threaded engine, then on the sharded engine (workers =
+    // available cores). Bit-identity is the contract; it is asserted on
+    // every size.
     let sharded_rows: Vec<ShardedRow> = if run_sharded {
         let mut out = Vec::new();
         for hosts in SHARDED_HOSTS {
             let (spec, tenants) = sweep_fleet(hosts, REQUESTS_PER_HOST * hosts);
 
-            std::env::set_var("TPU_CLUSTER_ENGINE", "single");
-            let (single_eps, events, single_run) = measure(&spec, &tenants, &cfg, budget_ms);
-
-            std::env::set_var("TPU_CLUSTER_ENGINE", "sharded");
-            let (sharded_eps, _, sharded_run) = measure(&spec, &tenants, &cfg, budget_ms);
-            std::env::remove_var("TPU_CLUSTER_ENGINE");
+            let on = |engine| measure(budget_ms, || reference::run(engine, &spec, &tenants, &cfg));
+            let (single_eps, events, single_run) = on(Engine::Single);
+            let (sharded_eps, _, sharded_run) = on(Engine::Sharded {
+                workers: available_cores(),
+            });
 
             assert_eq!(
                 single_run, sharded_run,
@@ -803,7 +793,7 @@ fn main() -> ExitCode {
     // equality is asserted).
     let (telemetry_row, request_log_row, monitor_row) = if run_telemetry_row {
         let (spec, tenants) = spec_for(TELEMETRY_HOSTS);
-        let (off_eps, events, off_run) = measure(&spec, &tenants, &cfg, budget_ms);
+        let (off_eps, events, off_run) = measure(budget_ms, || run_fleet(&spec, &tenants, &cfg));
         let (on_eps, on_run) = measure_telemetry(&spec, &tenants, &cfg, budget_ms);
         assert_eq!(
             off_run, on_run,
@@ -919,7 +909,7 @@ fn main() -> ExitCode {
     // to genuinely exercise retries and brownout shedding.
     let resilience_row = if run_resilience {
         let (spec, tenants) = resilient_fleet(RESILIENT_HOSTS, REQUESTS_PER_HOST * RESILIENT_HOSTS);
-        let (events_per_sec, events, run) = measure(&spec, &tenants, &cfg, budget_ms);
+        let (events_per_sec, events, run) = measure(budget_ms, || run_fleet(&spec, &tenants, &cfg));
         let sum = |f: fn(&tpu_cluster::FleetTenantReport) -> usize| -> usize {
             run.report.tenants.iter().map(f).sum()
         };

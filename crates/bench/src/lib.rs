@@ -1,22 +1,9 @@
-//! # tpu-bench — benchmark harness for the TPU reproduction
+//! # tpu-bench — fleet benchmark loads for the TPU reproduction
 //!
-//! The Criterion benches live under `benches/`:
-//!
-//! * `tables` — one benchmark per paper table (1-8), each regenerating
-//!   the table end-to-end (workload lowering + timing simulation +
-//!   formatting).
-//! * `figures` — one benchmark per paper figure (2, 5-11).
-//! * `microarch` — ablation microbenchmarks of the simulator itself:
-//!   systolic wavefront throughput by array size, timing-engine op rates,
-//!   Unified Buffer allocators, quantized matmul, and the functional
-//!   device end-to-end.
-//! * `serving` / `cluster` / `workload` — event-loop and arrival-layer
-//!   throughput of the serving runtime and the fleet simulator.
-//!
-//! This library crate exposes small helpers shared by the benches and
-//! by the `bench_cluster` quick-mode throughput runner (`src/bin/`),
-//! including the canonical MLP0 load builders that the serving and
-//! cluster benches sweep — one definition, not per-bench copies.
+//! This library crate holds the canonical fleet loads that the
+//! `bench_cluster` quick-mode throughput runner (`src/bin/`) and the
+//! repository benchmark (`perfbench`) measure — one definition, not
+//! per-runner copies.
 
 #![warn(missing_docs)]
 
@@ -28,13 +15,7 @@ use tpu_core::TpuConfig;
 use tpu_serve::tenant::ArrivalProcess;
 use tpu_serve::{BatchPolicy, ServiceCurve, TenantSpec};
 
-/// The array sizes the microarchitecture ablations sweep: from a 32x32
-/// toy to the shipped 256x256.
-pub fn ablation_dims() -> Vec<usize> {
-    vec![32, 64, 128, 256]
-}
-
-/// A paper-configuration handle for benches.
+/// A paper-configuration handle for the bench loads.
 pub fn paper_config() -> TpuConfig {
     TpuConfig::paper()
 }
@@ -217,15 +198,6 @@ pub fn resilient_fleet(hosts: usize, requests: usize) -> (FleetSpec, Vec<FleetTe
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ablation_dims_are_powers_of_two_up_to_256() {
-        let dims = ablation_dims();
-        assert_eq!(*dims.last().unwrap(), 256);
-        for d in dims {
-            assert!(d.is_power_of_two());
-        }
-    }
 
     #[test]
     fn paper_config_is_valid() {

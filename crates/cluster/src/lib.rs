@@ -45,12 +45,13 @@
 //!   `place` inspector printing any scenario's
 //!   [`fleet::PlacementPlan`] without simulating.
 //!
-//! The engine runs **multi-core by default**: the connected components
-//! of the tenant↔host placement graph are independent sub-simulations,
-//! so eligible fleets (no autoscaler, no live telemetry) shard across
+//! The engine runs **multi-core automatically**: the connected
+//! components of the tenant↔host placement graph are independent
+//! sub-simulations, so eligible fleets (no autoscaler, no live
+//! telemetry, at least two components and two cores) shard across
 //! worker threads and merge — byte-identical to the single-threaded
-//! reference for every seed and worker count (`TPU_CLUSTER_ENGINE`,
-//! `TPU_CLUSTER_SHARDS`; see `engine` and `shard`).
+//! engine for every seed and worker count. Differential tests and
+//! benchmarks name an engine explicitly through `reference::run`.
 //!
 //! The front end draws its request streams from
 //! `tpu_serve::workload` — any [`tpu_serve::workload::ArrivalSource`]
@@ -90,6 +91,8 @@ pub mod autoscale;
 pub mod engine;
 pub mod failure;
 pub mod fleet;
+#[doc(hidden)]
+pub mod reference;
 pub mod report;
 pub mod resilience;
 pub mod route;

@@ -14,32 +14,30 @@
 //! engine schedules initial arrivals in ascending tenant order and
 //! failures in schedule order, both preserved per component). So the
 //! sharded engine runs components on worker threads and merges — and
-//! is **byte-identical** to the single-threaded reference for every
-//! seed, which `TPU_CLUSTER_ENGINE=single` keeps available as the
-//! differential baseline (the same escape-hatch pattern as
-//! `TPU_SIM_EVENT_QUEUE=heap` and `TPU_CLUSTER_ROUTER=scan`).
+//! is **byte-identical** to the single-threaded engine for every seed.
 //!
-//! Sharding is conservative about what it accepts (anything else falls
-//! back to the reference engine, trivially byte-identical):
+//! Sharding is automatic and conservative about what it accepts
+//! (anything else runs single-threaded, trivially byte-identical):
 //!
 //! * **no autoscaler** — scale-up may place a replica on any host,
 //!   coupling components dynamically;
 //! * **no telemetry instruments** — artifacts interleave events across
 //!   hosts in global orders the shards don't see;
-//! * (for the automatic default) **≥ 2 components and ≥ 2 workers** —
-//!   otherwise parallelism buys nothing.
+//! * **≥ 2 components and ≥ 2 cores** — otherwise parallelism buys
+//!   nothing.
 //!
-//! `TPU_CLUSTER_SHARDS=N` pins the worker count (results are identical
-//! for every `N`; only wall-clock changes). Components are assigned to
-//! workers longest-processing-time-first by expected event volume, so
-//! a few heavy cells don't serialize behind one thread.
+//! The worker count is the machine's available parallelism; results
+//! are identical for every count, only wall-clock changes (differential
+//! tests pin counts through `crate::reference`). Components are
+//! assigned to workers longest-processing-time-first by expected event
+//! volume, so a few heavy cells don't serialize behind one thread.
 
 use crate::failure::FailureEvent;
 use crate::fleet::{FleetSpec, FleetTenantSpec};
 
 /// One shard's slice of the fleet, everything in **local** index space
 /// with the mapping back to global ids. The identity scope (all hosts,
-/// all tenants) is what the single-threaded reference runs under.
+/// all tenants) is what the single-threaded engine runs under.
 pub(crate) struct Scope {
     /// Global host index per local host, ascending.
     pub hosts: Vec<usize>,
@@ -55,7 +53,7 @@ pub(crate) struct Scope {
 }
 
 impl Scope {
-    /// The whole fleet as one scope — the single-threaded reference.
+    /// The whole fleet as one scope — the single-threaded engine's.
     pub fn identity(spec: &FleetSpec, assignments: &[Vec<usize>]) -> Self {
         Scope {
             hosts: (0..spec.hosts.len()).collect(),
@@ -63,42 +61,6 @@ impl Scope {
             failures: spec.failures.iter().copied().enumerate().collect(),
             plan: assignments.to_vec(),
         }
-    }
-}
-
-/// Which engine a run should use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EngineChoice {
-    /// Forced single-threaded reference (`TPU_CLUSTER_ENGINE=single`).
-    Single,
-    /// Forced sharded when eligible (`TPU_CLUSTER_ENGINE=sharded`);
-    /// ineligible specs still fall back to the reference.
-    Sharded,
-    /// Shard when eligible and it can actually help (≥ 2 components,
-    /// ≥ 2 workers).
-    Auto,
-}
-
-/// Read `TPU_CLUSTER_ENGINE`; anything but `single`/`sharded` is auto.
-pub(crate) fn engine_choice() -> EngineChoice {
-    match std::env::var("TPU_CLUSTER_ENGINE").as_deref() {
-        Ok("single") => EngineChoice::Single,
-        Ok("sharded") => EngineChoice::Sharded,
-        _ => EngineChoice::Auto,
-    }
-}
-
-/// Worker thread count: `TPU_CLUSTER_SHARDS` if set and positive, else
-/// the machine's available parallelism.
-pub(crate) fn shard_workers() -> usize {
-    match std::env::var("TPU_CLUSTER_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
     }
 }
 
@@ -211,19 +173,19 @@ pub(crate) fn assign_workers(weights: &[u64], workers: usize) -> Vec<Vec<usize>>
     out
 }
 
-/// Path-compressed union-find over host indices.
-struct UnionFind {
+/// Path-compressed union-find over `0..n`.
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -231,7 +193,7 @@ impl UnionFind {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    pub(crate) fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             // Lower root wins: keeps component identity stable under

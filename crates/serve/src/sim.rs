@@ -51,10 +51,10 @@
 //! The pre-wheel `BinaryHeap` implementation is kept as
 //! [`QueueBackend::BinaryHeap`] — it is the reference for differential
 //! tests and the in-run baseline for the `bench_cluster` throughput
-//! gate. `EventQueue::new` picks the wheel unless the
-//! `TPU_SIM_EVENT_QUEUE=heap` environment variable asks for the
-//! reference backend; the two are observationally identical (same pops,
-//! same panics), so the switch can never change a report.
+//! gate. `EventQueue::new` always runs the wheel; callers that want the
+//! reference name it through [`EventQueue::with_backend`]. The two are
+//! observationally identical (same pops, same panics), so the choice
+//! can never change a report.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -351,18 +351,6 @@ pub enum QueueBackend {
     BinaryHeap,
 }
 
-impl QueueBackend {
-    /// The backend `EventQueue::new` uses: the wheel, unless the
-    /// `TPU_SIM_EVENT_QUEUE=heap` environment variable selects the
-    /// reference heap (a benchmarking escape hatch).
-    pub fn from_env() -> Self {
-        match std::env::var("TPU_SIM_EVENT_QUEUE").as_deref() {
-            Ok("heap") => QueueBackend::BinaryHeap,
-            _ => QueueBackend::TimerWheel,
-        }
-    }
-}
-
 #[derive(Debug)]
 enum Fel<E> {
     Wheel(Wheel<E>),
@@ -384,10 +372,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero, on the environment-selected backend
-    /// (see [`QueueBackend::from_env`]; the timer wheel by default).
+    /// An empty queue at time zero on the timer wheel.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
+        Self::with_backend(QueueBackend::TimerWheel)
     }
 
     /// An empty queue at time zero on an explicit backend.

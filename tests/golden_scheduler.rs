@@ -11,7 +11,7 @@
 //! ordered and routing decisions identical, so every seeded report is
 //! unchanged to the last byte.
 //!
-//! The snapshots are deliberately *not* regenerable by an env flag:
+//! The snapshots are deliberately *not* regenerable by a flag:
 //! they memorialize pre-refactor output. If a future PR intentionally
 //! changes report content, regenerate them with the CLI (scale 0.05,
 //! default seeds) and say so in the PR. Scenarios introduced *after*
@@ -21,6 +21,7 @@
 //! too are frozen bit for bit from birth.
 
 use std::path::PathBuf;
+use tpu_repro::tpu_cluster::reference::{self, Engine};
 use tpu_repro::tpu_core::TpuConfig;
 
 const SCALE: f64 = 0.05;
@@ -134,42 +135,29 @@ fn golden_scheduler_dir_has_no_stale_snapshots() {
     }
 }
 
-/// The baseline escape hatches (`TPU_SIM_EVENT_QUEUE=heap`,
-/// `TPU_CLUSTER_ROUTER=scan`, `TPU_CLUSTER_ENGINE=single`) must change
-/// speed only, never a report: the heaviest routing scenario and the
-/// sharded sweep replay bit-identically under all of them at once.
-/// (The env vars are process-global; concurrently running tests are
-/// unaffected because the modes are observationally identical — that
-/// is exactly what this test pins.)
+/// The baseline engine (binary-heap event queue, scan router,
+/// single-threaded) must change speed only, never a report: every
+/// cluster scenario at the golden scale replays bit-identically — text
+/// and JSON — on `Engine::Baseline` and through `run_fleet`.
 #[test]
 fn legacy_heap_scan_and_single_modes_replay_bit_identically() {
     let cfg = TpuConfig::paper();
-    let run = |name: &str| {
-        let s = tpu_repro::tpu_cluster::scenario_by_name(name)
-            .expect("scenario exists")
-            .scale_requests(SCALE);
-        s.execute(&cfg)
-    };
-    for scenario in ["router-shootout", "fleet-sweep"] {
-        std::env::set_var("TPU_SIM_EVENT_QUEUE", "heap");
-        std::env::set_var("TPU_CLUSTER_ROUTER", "scan");
-        std::env::set_var("TPU_CLUSTER_ENGINE", "single");
-        let legacy = run(scenario);
-        std::env::remove_var("TPU_SIM_EVENT_QUEUE");
-        std::env::remove_var("TPU_CLUSTER_ROUTER");
-        std::env::remove_var("TPU_CLUSTER_ENGINE");
-        let current = run(scenario);
-        assert_eq!(
-            legacy.len(),
-            current.len(),
-            "same runs under both engine modes"
-        );
-        for ((ll, lr), (cl, cr)) in legacy.iter().zip(&current) {
-            assert_eq!(ll, cl);
+    for s in tpu_repro::tpu_cluster::all_scenarios() {
+        let s = s.scale_requests(SCALE);
+        for (r, (label, current)) in s.runs.iter().zip(s.execute(&cfg)) {
+            assert_eq!(r.label, label);
+            let legacy = reference::run(Engine::Baseline, &r.spec, &r.tenants, &cfg);
             assert_eq!(
-                format!("{}", lr.report),
-                format!("{}", cr.report),
-                "{scenario}/{ll} differs between legacy and current engine modes"
+                format!("{}", legacy.report),
+                format!("{}", current.report),
+                "{}/{label} text differs between the baseline engine and run_fleet",
+                s.name
+            );
+            assert_eq!(
+                legacy.report.to_json().to_string(),
+                current.report.to_json().to_string(),
+                "{}/{label} JSON differs between the baseline engine and run_fleet",
+                s.name
             );
         }
     }

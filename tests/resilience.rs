@@ -18,6 +18,7 @@
 //!   total retries and top-priority SLO attainment.
 
 use proptest::prelude::*;
+use tpu_repro::tpu_cluster::reference::{self, Engine};
 use tpu_repro::tpu_cluster::{
     run_fleet, scenario_by_name, validate_schedule, BrownoutConfig, ColocateConfig, FailureEvent,
     FleetReport, FleetSpec, FleetTenantSpec, HedgeConfig, HopModel, RetryBudget, RetryPolicy,
@@ -26,22 +27,6 @@ use tpu_repro::tpu_cluster::{
 use tpu_repro::tpu_core::TpuConfig;
 use tpu_repro::tpu_serve::tenant::ArrivalProcess;
 use tpu_repro::tpu_serve::{BatchPolicy, TenantSpec};
-
-/// Run `f` with `TPU_CLUSTER_ENGINE` (and optionally
-/// `TPU_CLUSTER_SHARDS`) pinned, restoring the environment after.
-/// Safe concurrently for the same reason as in `sharded_engine.rs`:
-/// the modes are observationally identical.
-fn with_engine<T>(engine: &str, shards: Option<usize>, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("TPU_CLUSTER_ENGINE", engine);
-    match shards {
-        Some(n) => std::env::set_var("TPU_CLUSTER_SHARDS", n.to_string()),
-        None => std::env::remove_var("TPU_CLUSTER_SHARDS"),
-    }
-    let out = f();
-    std::env::remove_var("TPU_CLUSTER_ENGINE");
-    std::env::remove_var("TPU_CLUSTER_SHARDS");
-    out
-}
 
 fn mlp_tenant(rate_rps: f64, priority: u8, requests: usize) -> TenantSpec {
     TenantSpec::new(
@@ -270,19 +255,18 @@ fn resilience_scenarios_are_engine_invariant() {
         let s = scenario_by_name(name)
             .expect("scenario exists")
             .scale_requests(0.05);
-        let reference: Vec<String> = with_engine("single", None, || {
-            s.execute(&cfg)
+        let render = |engine: Engine| -> Vec<String> {
+            s.runs
                 .iter()
-                .map(|(l, r)| format!("{l}\n{}", r.report))
+                .map(|r| {
+                    let run = reference::run(engine, &r.spec, &r.tenants, &cfg);
+                    format!("{}\n{}", r.label, run.report)
+                })
                 .collect()
-        });
+        };
+        let reference = render(Engine::Single);
         for workers in [1usize, 2, 5] {
-            let sharded: Vec<String> = with_engine("sharded", Some(workers), || {
-                s.execute(&cfg)
-                    .iter()
-                    .map(|(l, r)| format!("{l}\n{}", r.report))
-                    .collect()
-            });
+            let sharded = render(Engine::Sharded { workers });
             assert_eq!(
                 reference, sharded,
                 "{name}: {workers}-worker replay differs from the reference"
@@ -458,8 +442,8 @@ proptest! {
     fn sharded_engine_matches_reference_under_failures(p in prop_fleet()) {
         let cfg = TpuConfig::paper();
         let (spec, tenants) = build(&p);
-        let reference = with_engine("single", None, || run_fleet(&spec, &tenants, &cfg));
-        let sharded = with_engine("sharded", Some(3), || run_fleet(&spec, &tenants, &cfg));
+        let reference = reference::run(Engine::Single, &spec, &tenants, &cfg);
+        let sharded = reference::run(Engine::Sharded { workers: 3 }, &spec, &tenants, &cfg);
         prop_assert_eq!(
             format!("{}", reference.report),
             format!("{}", sharded.report)

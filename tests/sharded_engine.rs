@@ -1,48 +1,38 @@
 //! Differential tests for the sharded parallel fleet engine: for every
 //! eligible spec, the multi-core engine must reproduce the
-//! single-threaded reference **byte for byte** — struct equality, text
-//! report, and JSON — at every worker count. The engine-mode env vars
-//! are process-global; concurrently running tests are unaffected
-//! because the modes are observationally identical, which is exactly
-//! what these tests pin (the same argument as the heap/scan hatch test
-//! in `golden_scheduler.rs`).
+//! single-threaded engine **byte for byte** — struct equality, text
+//! report, and JSON — at every worker count. Each test names its
+//! engines through `tpu_cluster::reference`, so tests running
+//! concurrently never share a switch.
 
+use tpu_repro::tpu_cluster::reference::{self, Engine};
 use tpu_repro::tpu_cluster::{
-    fleet_sweep, run_fleet, scenario_by_name, FailureEvent, FleetRun, FleetSpec, FleetTenantSpec,
-    HopModel, RouterPolicy,
+    fleet_sweep, rack_outage, scenario_by_name, FailureEvent, FleetRun, FleetScenarioRun,
+    FleetSpec, FleetTenantSpec, HopModel, RouterPolicy,
 };
 use tpu_repro::tpu_core::TpuConfig;
 use tpu_repro::tpu_serve::tenant::ArrivalProcess;
 use tpu_repro::tpu_serve::{BatchPolicy, TenantSpec};
 
-/// Run `f` with `TPU_CLUSTER_ENGINE` (and optionally
-/// `TPU_CLUSTER_SHARDS`) pinned, restoring the environment after.
-fn with_engine<T>(engine: &str, shards: Option<usize>, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("TPU_CLUSTER_ENGINE", engine);
-    match shards {
-        Some(n) => std::env::set_var("TPU_CLUSTER_SHARDS", n.to_string()),
-        None => std::env::remove_var("TPU_CLUSTER_SHARDS"),
-    }
-    let out = f();
-    std::env::remove_var("TPU_CLUSTER_ENGINE");
-    std::env::remove_var("TPU_CLUSTER_SHARDS");
-    out
+/// Run one scenario run on `engine`.
+fn run_on(engine: Engine, r: &FleetScenarioRun, cfg: &TpuConfig) -> FleetRun {
+    reference::run(engine, &r.spec, &r.tenants, cfg)
 }
 
 fn assert_bit_identical(reference: &FleetRun, candidate: &FleetRun, what: &str) {
     assert_eq!(
         format!("{}", reference.report),
         format!("{}", candidate.report),
-        "{what}: text report differs from the single-threaded reference"
+        "{what}: text report differs from the single-threaded engine"
     );
     assert_eq!(
         reference.report.to_json().to_string(),
         candidate.report.to_json().to_string(),
-        "{what}: JSON report differs from the single-threaded reference"
+        "{what}: JSON report differs from the single-threaded engine"
     );
     assert_eq!(
         reference, candidate,
-        "{what}: run structs differ from the single-threaded reference"
+        "{what}: run structs differ from the single-threaded engine"
     );
 }
 
@@ -52,11 +42,9 @@ fn assert_bit_identical(reference: &FleetRun, candidate: &FleetRun, what: &str) 
 fn fleet_sweep_sharded_replays_the_single_reference_bit_for_bit() {
     let cfg = TpuConfig::paper();
     let s = fleet_sweep(40).scale_requests(0.1);
-    let run_of =
-        |r: &tpu_repro::tpu_cluster::FleetScenarioRun| run_fleet(&r.spec, &r.tenants, &cfg);
-    let reference = with_engine("single", None, || run_of(&s.runs[0]));
+    let reference = run_on(Engine::Single, &s.runs[0], &cfg);
     for workers in [1usize, 2, 7] {
-        let sharded = with_engine("sharded", Some(workers), || run_of(&s.runs[0]));
+        let sharded = run_on(Engine::Sharded { workers }, &s.runs[0], &cfg);
         assert_bit_identical(&reference, &sharded, &format!("{workers} workers"));
     }
 }
@@ -140,18 +128,16 @@ fn bridged_cells_with_failures_and_mixed_tenants_match_the_reference() {
             6,
         ),
     ];
-    let reference = with_engine("single", None, || run_fleet(&spec, &tenants, &cfg));
+    let reference = reference::run(Engine::Single, &spec, &tenants, &cfg);
     for workers in [2usize, 5] {
-        let sharded = with_engine("sharded", Some(workers), || {
-            run_fleet(&spec, &tenants, &cfg)
-        });
+        let sharded = reference::run(Engine::Sharded { workers }, &spec, &tenants, &cfg);
         assert_bit_identical(&reference, &sharded, &format!("{workers} workers"));
     }
 }
 
-/// Ineligible specs (autoscaled, or a single component) silently fall
-/// back to the reference even when sharding is forced — same bytes,
-/// no panic.
+/// Edge specs under `Engine::Sharded`: an autoscaled spec falls back
+/// to the single-threaded engine, and a single-component spec runs as
+/// one shard — same bytes, no panic.
 #[test]
 fn ineligible_specs_fall_back_to_the_reference() {
     let cfg = TpuConfig::paper();
@@ -159,23 +145,23 @@ fn ineligible_specs_fall_back_to_the_reference() {
         .expect("scenario exists")
         .scale_requests(0.05);
     let r = &s.runs[0];
-    let reference = with_engine("single", None, || run_fleet(&r.spec, &r.tenants, &cfg));
-    let forced = with_engine("sharded", Some(4), || run_fleet(&r.spec, &r.tenants, &cfg));
+    let reference = run_on(Engine::Single, r, &cfg);
+    let forced = run_on(Engine::Sharded { workers: 4 }, r, &cfg);
     assert_bit_identical(&reference, &forced, "autoscaled spec");
 
     let one = scenario_by_name("fleet-steady")
         .expect("scenario exists")
         .scale_requests(0.05);
     let r = &one.runs[0];
-    let reference = with_engine("single", None, || run_fleet(&r.spec, &r.tenants, &cfg));
-    let forced = with_engine("sharded", Some(4), || run_fleet(&r.spec, &r.tenants, &cfg));
+    let reference = run_on(Engine::Single, r, &cfg);
+    let forced = run_on(Engine::Sharded { workers: 4 }, r, &cfg);
     assert_bit_identical(&reference, &forced, "single-component spec");
 }
 
 /// The swap-affinity warm-set index must route identically to the
 /// O(replicas) scan it replaced: both colocate scenarios, which
-/// exercise `RouterPolicy::SwapAware` end to end, replay bit for bit
-/// under `TPU_CLUSTER_ROUTER=scan`.
+/// exercise `RouterPolicy::SwapAware` end to end, replay bit for bit on
+/// the baseline engine's scan router.
 #[test]
 fn swap_affinity_warm_index_matches_the_scan_router_bit_for_bit() {
     let cfg = TpuConfig::paper();
@@ -183,13 +169,51 @@ fn swap_affinity_warm_index_matches_the_scan_router_bit_for_bit() {
         let s = scenario_by_name(name)
             .expect("scenario exists")
             .scale_requests(0.2);
-        std::env::set_var("TPU_CLUSTER_ROUTER", "scan");
-        let scanned = s.execute(&cfg);
-        std::env::remove_var("TPU_CLUSTER_ROUTER");
-        let indexed = s.execute(&cfg);
-        for ((sl, sr), (il, ir)) in scanned.iter().zip(&indexed) {
-            assert_eq!(sl, il);
-            assert_bit_identical(sr, ir, &format!("{name}/{sl} scan vs warm index"));
+        for (r, (label, indexed)) in s.runs.iter().zip(s.execute(&cfg)) {
+            assert_eq!(r.label, label);
+            let scanned = run_on(Engine::Baseline, r, &cfg);
+            assert_bit_identical(
+                &scanned,
+                &indexed,
+                &format!("{name}/{label} scan vs warm index"),
+            );
+        }
+    }
+}
+
+/// The 1000-host `fleet-sweep` (100 independent cells, crash/recover
+/// schedule) at full scale, single-threaded against sharded over
+/// every available core. Too slow for a debug build; run with
+/// `cargo test --release --test sharded_engine -- --ignored`.
+#[test]
+#[ignore]
+fn fleet_sweep_1000_hosts_sharded_matches_single() {
+    let cfg = TpuConfig::paper();
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    for r in &fleet_sweep(1000).runs {
+        let single = run_on(Engine::Single, r, &cfg);
+        let sharded = run_on(Engine::Sharded { workers }, r, &cfg);
+        let what = format!("fleet-sweep 1000 hosts/{}, {workers} workers", r.label);
+        assert_bit_identical(&single, &sharded, &what);
+    }
+}
+
+/// The 1000-host `rack-outage` fleet (125 cells replaying the seeded
+/// correlated rack/domain outage schedule with retries, budgets, and
+/// hedging live) at 0.02× requests, single-threaded against 3 and 8
+/// workers. Too slow for a debug build; run with
+/// `cargo test --release --test sharded_engine -- --ignored`.
+#[test]
+#[ignore]
+fn rack_outage_1000_hosts_sharded_matches_single() {
+    let cfg = TpuConfig::paper();
+    let s = rack_outage(1000).scale_requests(0.02);
+    for r in &s.runs {
+        let single = run_on(Engine::Single, r, &cfg);
+        for workers in [3usize, 8] {
+            let sharded = run_on(Engine::Sharded { workers }, r, &cfg);
+            let what = format!("rack-outage 1000 hosts/{}, {workers} workers", r.label);
+            assert_bit_identical(&single, &sharded, &what);
         }
     }
 }
