@@ -370,11 +370,14 @@ pub fn place(hosts: &[HostSpec], tenants: &[FleetTenantSpec]) -> Vec<Vec<usize>>
     for t in tenants {
         let w = t.weight_bytes();
         let mut mine = Vec::with_capacity(t.replicas);
+        // Hosts already carrying this tenant: an O(1) membership test
+        // keeps the scan O(replicas × hosts), not O(replicas² × hosts).
+        let mut taken = vec![false; hosts.len()];
         for r in 0..t.replicas {
             let host = hosts
                 .iter()
                 .enumerate()
-                .filter(|(h, spec)| !mine.contains(h) && used[*h] + w <= spec.weight_capacity_bytes)
+                .filter(|(h, spec)| !taken[*h] && used[*h] + w <= spec.weight_capacity_bytes)
                 .min_by_key(|(h, _)| (slots[*h], *h))
                 .map(|(h, _)| h)
                 .unwrap_or_else(|| {
@@ -391,6 +394,7 @@ pub fn place(hosts: &[HostSpec], tenants: &[FleetTenantSpec]) -> Vec<Vec<usize>>
                 });
             used[host] += w;
             slots[host] += 1;
+            taken[host] = true;
             mine.push(host);
         }
         plan.push(mine);
@@ -619,11 +623,12 @@ fn bin_pack(
         let ft = &tenants[t];
         let w = ft.weight_bytes();
         let l = expected_replica_load(ft, cfg);
+        let mut taken = vec![false; hosts.len()];
         for r in 0..ft.replicas {
             let host = hosts
                 .iter()
                 .enumerate()
-                .filter(|(h, _)| !plan[t].contains(h) && sets[*h].fits(w))
+                .filter(|(h, _)| !taken[*h] && sets[*h].fits(w))
                 .map(|(h, hs)| {
                     let fill =
                         (sets[h].used_bytes() + w) as f64 / hs.weight_capacity_bytes.max(1) as f64;
@@ -644,6 +649,7 @@ fn bin_pack(
                 .admit(t, w)
                 .expect("feasibility checked by the filter");
             loads[host] += l;
+            taken[host] = true;
             plan[t].push(host);
         }
     }
@@ -789,6 +795,124 @@ mod tests {
         let mut spec = spec_with(1, 1).with_colocate(ColocateConfig::bin_packed());
         spec.hosts[0].weight_capacity_bytes = 1_000_000;
         let _ = plan_placement(&spec, &[tenant("CNN1", 1)], &cfg);
+    }
+
+    /// One wide tenant spreads one replica per host, in host order.
+    #[test]
+    fn wide_tenant_places_replica_r_on_host_r() {
+        let cfg = TpuConfig::paper();
+        let tenants = [tenant("MLP0", 2_000)];
+        let identity: Vec<usize> = (0..2_000).collect();
+        let plan = plan_placement(&spec_with(2_000, 2), &tenants, &cfg);
+        assert_eq!(plan.assignments[0], identity);
+    }
+
+    /// The placement scans before the per-tenant membership mask, kept
+    /// as an oracle: they test "already hosts this tenant" with a
+    /// linear `contains` over the tenant's own host list.
+    fn contains_place(hosts: &[HostSpec], tenants: &[FleetTenantSpec]) -> Vec<Vec<usize>> {
+        let mut used = vec![0u64; hosts.len()];
+        let mut slots = vec![0usize; hosts.len()];
+        let mut plan = Vec::new();
+        for t in tenants {
+            let w = t.weight_bytes();
+            let mut mine = Vec::new();
+            for _ in 0..t.replicas {
+                let host = hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(h, spec)| {
+                        !mine.contains(h) && used[*h] + w <= spec.weight_capacity_bytes
+                    })
+                    .min_by_key(|(h, _)| (slots[*h], *h))
+                    .map(|(h, _)| h)
+                    .expect("oracle fleet is feasible");
+                used[host] += w;
+                slots[host] += 1;
+                mine.push(host);
+            }
+            plan.push(mine);
+        }
+        plan
+    }
+
+    fn contains_bin_pack(
+        hosts: &[HostSpec],
+        tenants: &[FleetTenantSpec],
+        cfg: &TpuConfig,
+        mem_weight: f64,
+        load_weight: f64,
+    ) -> Vec<Vec<usize>> {
+        let mut order: Vec<usize> = (0..tenants.len()).collect();
+        order.sort_by_key(|&t| std::cmp::Reverse(tenants[t].weight_bytes()));
+        let mut sets: Vec<WeightSet> = hosts
+            .iter()
+            .map(|h| WeightSet::new(h.weight_capacity_bytes))
+            .collect();
+        let mut loads = vec![0.0f64; hosts.len()];
+        let mut plan: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
+        for &t in &order {
+            let (w, l) = (
+                tenants[t].weight_bytes(),
+                expected_replica_load(&tenants[t], cfg),
+            );
+            for _ in 0..tenants[t].replicas {
+                let host = hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(h, _)| !plan[t].contains(h) && sets[*h].fits(w))
+                    .map(|(h, hs)| {
+                        let fill = (sets[h].used_bytes() + w) as f64
+                            / hs.weight_capacity_bytes.max(1) as f64;
+                        let util = (loads[h] + l) / hs.dies.max(1) as f64;
+                        (mem_weight * fill + load_weight * util, h)
+                    })
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .map(|(_, h)| h)
+                    .expect("oracle fleet is feasible");
+                sets[host].admit(t, w).expect("fits");
+                loads[host] += l;
+                plan[t].push(host);
+            }
+        }
+        plan
+    }
+
+    /// A 500-host fleet where every 50th host has room for a dozen
+    /// models and the rest for a few small ones, so the roomy hosts stay
+    /// the best fit, or the least-loaded fit, for tenants they already
+    /// carry and the membership test decides placements. Both planners
+    /// reproduce the `contains` scans exactly: bin-packing on the whole
+    /// fleet; spreading on its first 100 hosts, where CNN1 only fits
+    /// the two roomy ones and the 100th MLP0 replica must skip host 1.
+    #[test]
+    fn membership_mask_matches_the_contains_scan_at_scale() {
+        let cfg = TpuConfig::paper();
+        let hosts: Vec<HostSpec> = (0..500)
+            .map(|h| {
+                let cap = if h % 50 == 0 {
+                    1_200_000_000
+                } else {
+                    80_000_000
+                };
+                HostSpec::new(1 + h % 3).with_weight_capacity(cap)
+            })
+            .collect();
+        let tenants = [
+            tenant("MLP0", 120),
+            tenant("LSTM0", 80),
+            tenant("CNN0", 60),
+            tenant("MLP1", 40),
+            tenant("CNN1", 8),
+        ];
+        let mut spec = spec_with(500, 1).with_colocate(ColocateConfig::bin_packed());
+        spec.hosts = hosts.clone();
+        let packed = plan_placement(&spec, &tenants, &cfg).assignments;
+        assert_eq!(packed, contains_bin_pack(&hosts, &tenants, &cfg, 1.0, 1.0));
+        let spread = [tenant("CNN1", 2), tenant("MLP0", 100)];
+        let plan = place(&hosts[..100], &spread);
+        assert_eq!(plan, contains_place(&hosts[..100], &spread));
+        assert_eq!(plan[1][99], 50);
     }
 
     #[test]

@@ -36,15 +36,22 @@
 //! O(1). Below the levels sits the **bottom rung**: the most recently
 //! drained slot, sorted once, from which pops are O(1). When the rung
 //! runs dry the wheel rolls forward: the lowest occupied slot of the
-//! lowest occupied level (the overflow levels re-bucket on rollover)
-//! holds exactly the globally smallest keys and becomes the next rung.
-//! Because simulated time is monotone (scheduling into the past is
-//! rejected), every event is drained into the rung at most once — never
-//! re-cascaded level by level — so schedule/pop are O(1) amortized.
-//! Equal-key events stay in FIFO (sequence) order end to end: slot
-//! buckets are FIFO, the rung sort is stable, and late same-key inserts
-//! land after their elders — so pops remain *exactly* `(time,
-//! sequence)` ordered. The differential proptest in
+//! lowest occupied level holds exactly the globally smallest keys and
+//! becomes the next rung — unless it sits above level 0 and holds more
+//! than [`RUNG_SPILL_THRESHOLD`] entries. Such a slot is re-bucketed
+//! instead, as in a ladder queue (Tang, Goh & Thng, ACM TOMACS 2005):
+//! the hand moves to the slot's key prefix and its entries, in FIFO
+//! order, fall into the finer levels below, until the lowest occupied
+//! slot is small or is a level-0 slot (which holds one exact key). So
+//! a fleet's deep queue never becomes one huge sorted rung that every
+//! `now + hop` push must memmove into. Because simulated time is
+//! monotone (scheduling into the past is rejected), an event is
+//! re-bucketed at most once per level it descends and drained into the
+//! rung once, so schedule/pop are O(1) amortized. Equal-key events
+//! stay in FIFO (sequence) order end to end: slot buckets and the
+//! re-bucketing pass are FIFO, the rung sort is stable, and late
+//! same-key inserts land after their elders — so pops remain *exactly*
+//! `(time, sequence)` ordered. The differential proptest in
 //! `tests/event_queue_props.rs` pins the wheel against the reference
 //! binary heap on arbitrary schedules.
 //!
@@ -97,6 +104,9 @@ pub const WHEEL_LEVELS: usize = 11; // ceil(64 / 6)
 /// after the rung. Pushes strictly below the rung maximum still insert
 /// (they must, to pop before it), so the bound applies exactly to the
 /// degenerate case that hurts: long runs of equal or increasing keys.
+/// The same bound caps the slots the wheel drains into the rung: a
+/// bigger slot above level 0 is re-bucketed into the finer levels
+/// first (the ladder step in `Wheel::advance`).
 pub const RUNG_SPILL_THRESHOLD: usize = 128;
 
 /// The monotone integer key of a finite, non-negative event time.
@@ -182,6 +192,9 @@ struct WheelStats {
     /// Pushes diverted into the wheel by the [`RUNG_SPILL_THRESHOLD`]
     /// guard.
     spills: u64,
+    /// Oversized slots `advance` re-bucketed into finer levels instead
+    /// of draining them into the rung.
+    rebuckets: u64,
 }
 
 impl WheelStats {
@@ -192,6 +205,7 @@ impl WheelStats {
             max_rung: 0,
             advances: 0,
             spills: 0,
+            rebuckets: 0,
         }
     }
 }
@@ -302,18 +316,27 @@ impl<E> Wheel<E> {
     /// lowest occupied level — by construction every key in it is `<=`
     /// every key elsewhere in the wheel — into the (empty) bottom rung,
     /// sort it once, and advance the hand to the slot's key-range
-    /// prefix. Each event is drained at most once (straight into the
-    /// rung it pops from, never re-cascaded level by level), so
-    /// schedule/pop stay O(1) amortized even though adjacent `f64`
-    /// times differ deep in the mantissa.
+    /// prefix. A slot above level 0 holding more than
+    /// [`RUNG_SPILL_THRESHOLD`] entries is first re-bucketed into the
+    /// finer levels (the ladder step), repeatedly, until the lowest
+    /// occupied slot is small enough or exact (level 0). An event is
+    /// re-bucketed at most once per level it descends, so schedule/pop
+    /// stay O(1) amortized, and the rung stays short enough that pushes
+    /// landing inside its key range pay a short memmove.
     #[cold]
     fn advance(&mut self) {
         debug_assert!(self.bottom.is_empty(), "checked by pop");
-        let level = (0..WHEEL_LEVELS)
-            .find(|&l| self.occupied[l] != 0)
-            .expect("len > 0 with an empty bottom rung means a slot is occupied");
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        self.occupied[level] &= !(1u64 << slot);
+        let (level, slot) = loop {
+            let level = (0..WHEEL_LEVELS)
+                .find(|&l| self.occupied[l] != 0)
+                .expect("len > 0 with an empty bottom rung means a slot is occupied");
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            self.occupied[level] &= !(1u64 << slot);
+            if level == 0 || self.slots[level * SLOTS + slot].len() <= RUNG_SPILL_THRESHOLD {
+                break (level, slot);
+            }
+            self.rebucket(level, slot);
+        };
         // The slot's buffer becomes the bottom rung; the old (empty)
         // rung buffer takes its place — no allocation either way.
         std::mem::swap(&mut self.bottom, &mut self.slots[level * SLOTS + slot]);
@@ -334,6 +357,25 @@ impl<E> Wheel<E> {
         // ever-growing rung. Only keys tying or interleaving the
         // already-drained ones pay the rung insert.
         self.bottom_bound = self.bottom.back().expect("occupancy bit was set").key;
+    }
+
+    /// The ladder step: the slot at `(level, slot)`, just taken off the
+    /// occupancy map, is too big to become a sorted rung that later
+    /// pushes would memmove into. Advance the hand to its key prefix
+    /// and re-bucket its entries, in FIFO order, into the (empty) finer
+    /// levels below. The drained buffer is freed, not parked, so one
+    /// burst's capacity does not stay allocated in the slot table.
+    #[cold]
+    fn rebucket(&mut self, level: usize, slot: usize) {
+        let drained = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+        let shift = level as u32 * LEVEL_BITS;
+        self.hand = (drained.front().expect("occupancy bit was set").key >> shift) << shift;
+        for entry in drained {
+            let (l, s) = Self::bucket(self.hand, entry.key);
+            self.occupied[l] |= 1 << s;
+            self.slots[l * SLOTS + s].push_back(entry);
+        }
+        self.stats.rebuckets += 1;
     }
 }
 
@@ -470,7 +512,8 @@ impl<E> EventQueue<E> {
 
     /// Snapshot the wheel's self-profile for `--engine-stats`: drains
     /// per level, current occupied-slot counts, the rung-length
-    /// histogram, and the [`RUNG_SPILL_THRESHOLD`] spill counter.
+    /// histogram, the [`RUNG_SPILL_THRESHOLD`] spill counter and the
+    /// count of oversized slots re-bucketed into finer levels.
     /// `None` on the reference heap backend, which keeps no statistics.
     pub fn wheel_profile(&self) -> Option<WheelProfile> {
         match &self.fel {
@@ -487,6 +530,7 @@ impl<E> EventQueue<E> {
                     max_rung: w.stats.max_rung,
                     advances: w.stats.advances,
                     spills: w.stats.spills,
+                    rebuckets: w.stats.rebuckets,
                     pending: w.len,
                 })
             }
@@ -746,6 +790,42 @@ mod tests {
             EventQueue::<usize>::with_backend(QueueBackend::BinaryHeap).wheel_profile(),
             None
         );
+    }
+
+    /// The ladder step: a fleet-shaped stream — 50k pending events at
+    /// distinct times, each pop rescheduling one event a constant hop
+    /// later — drains no slot above the spill threshold into the rung.
+    /// Without re-bucketing the whole pending set lands in one rung
+    /// that every `now + hop` push memmoves into.
+    #[test]
+    fn distinct_key_stream_keeps_the_rung_bounded() {
+        const PENDING: usize = 50_000;
+        const HOP_MS: f64 = 0.5;
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut heap: EventQueue<usize> = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        for i in 0..PENDING {
+            let at = 10.0 + i as f64 * (HOP_MS / PENDING as f64);
+            q.schedule(at, i);
+            heap.schedule(at, i);
+        }
+        for i in PENDING..3 * PENDING {
+            let popped = q.pop();
+            assert_eq!(popped, heap.pop());
+            assert!(
+                q.rung_len() <= RUNG_SPILL_THRESHOLD,
+                "rung grew to {} at pop {i}",
+                q.rung_len()
+            );
+            let at = popped.expect("queue stays full").0 + HOP_MS;
+            q.schedule(at, i);
+            heap.schedule(at, i);
+        }
+        let profile = q.wheel_profile().expect("wheel backend profiles");
+        assert!(
+            profile.rebuckets > 0,
+            "the stream must take the ladder step"
+        );
+        assert!(profile.max_rung <= RUNG_SPILL_THRESHOLD);
     }
 
     #[test]

@@ -170,3 +170,68 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Fleet-shaped streams, as the fleet engine drives the queue: a
+    /// hop-wide window of more than `RUNG_SPILL_THRESHOLD × 64` pending
+    /// events, each pop rescheduling its event a constant hop later
+    /// (`now + hop`, the delivery pattern), mixed with near-now pushes
+    /// (some exactly at `now`) and equal-key bursts. The pending set is
+    /// dense enough that oversized slots are re-bucketed down more than
+    /// one level, and bursts longer than the threshold descend all the
+    /// way to level 0; the wheel must still match the reference heap
+    /// at every pop.
+    #[test]
+    fn wheel_matches_reference_heap_on_fleet_shaped_streams(
+        seed in any::<u64>(),
+        extra in 1usize..4096,
+        hop_ms in 0.05f64..5.0,
+        base_ms in 0.0f64..1e4,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tpu_serve::sim::RUNG_SPILL_THRESHOLD;
+        let pending = RUNG_SPILL_THRESHOLD * 64 + extra;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wheel: EventQueue<usize> = EventQueue::new();
+        let mut heap: EventQueue<usize> = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut payload = 0usize;
+        let mut both = |at: f64, wheel: &mut EventQueue<usize>, heap: &mut EventQueue<usize>| {
+            wheel.schedule(at, payload);
+            heap.schedule(at, payload);
+            payload += 1;
+        };
+        for i in 0..pending {
+            both(base_ms + hop_ms * (i as f64 / pending as f64), &mut wheel, &mut heap);
+        }
+        for _ in 0..2 * pending {
+            let popped = wheel.pop();
+            prop_assert_eq!(popped, heap.pop());
+            let now = popped.expect("the stream keeps the queue non-empty").0;
+            both(now + hop_ms, &mut wheel, &mut heap);
+            let roll: f64 = rng.gen_range(0.0..1.0);
+            if roll < 0.1 {
+                let near = rng.gen_range(0u32..4) as f64 * hop_ms / 4096.0;
+                both(now + near, &mut wheel, &mut heap);
+            } else if roll < 0.102 {
+                let at = now + hop_ms * rng.gen_range(0.0..1.0);
+                for _ in 0..rng.gen_range(1usize..400) {
+                    both(at, &mut wheel, &mut heap);
+                }
+            }
+        }
+        prop_assert!(
+            wheel.wheel_profile().expect("wheel backend profiles").rebuckets >= 2,
+            "the stream must take the ladder step"
+        );
+        loop {
+            let (a, b) = (wheel.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}

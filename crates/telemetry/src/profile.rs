@@ -27,8 +27,12 @@ pub struct WheelProfile {
     /// Times `advance` ran (the rung went dry).
     pub advances: u64,
     /// Times a push landed past the rung bound because the rung hit
-    /// `RUNG_SPILL_THRESHOLD` (the PR 5 spill path).
+    /// `RUNG_SPILL_THRESHOLD` (the spill path).
     pub spills: u64,
+    /// Slots above level 0 holding more than `RUNG_SPILL_THRESHOLD`
+    /// entries that `advance` re-bucketed into finer levels instead of
+    /// draining into the rung (the ladder step).
+    pub rebuckets: u64,
     /// Events still queued at capture.
     pub pending: usize,
 }
@@ -69,8 +73,8 @@ impl EngineProfile {
         }
         if let Some(w) = &self.wheel {
             out.push(format!(
-                "  wheel: advances={} spills={} max-rung={} pending={}",
-                w.advances, w.spills, w.max_rung, w.pending
+                "  wheel: advances={} spills={} rebuckets={} max-rung={} pending={}",
+                w.advances, w.spills, w.rebuckets, w.max_rung, w.pending
             ));
             let drains = join_indexed(&w.drains_per_level, |l, n| format!("L{l}={n}"));
             if !drains.is_empty() {
@@ -141,6 +145,7 @@ impl EngineProfile {
                     ("max_rung".to_string(), Value::Number(w.max_rung as f64)),
                     ("advances".to_string(), Value::Number(w.advances as f64)),
                     ("spills".to_string(), Value::Number(w.spills as f64)),
+                    ("rebuckets".to_string(), Value::Number(w.rebuckets as f64)),
                     ("pending".to_string(), Value::Number(w.pending as f64)),
                 ]),
             ));
@@ -176,6 +181,7 @@ mod tests {
                 max_rung: 9,
                 advances: 7,
                 spills: 2,
+                rebuckets: 3,
                 pending: 0,
             }),
         }
@@ -187,7 +193,7 @@ mod tests {
         assert_eq!(p.total_events(), 14);
         let text = p.lines().join("\n");
         assert!(text.contains("events: arrival=10 die-free=4"));
-        assert!(text.contains("wheel: advances=7 spills=2 max-rung=9 pending=0"));
+        assert!(text.contains("wheel: advances=7 spills=2 rebuckets=3 max-rung=9 pending=0"));
         assert!(text.contains("drains/level: L0=5 L1=2"));
         assert!(text.contains("occupied-slots (of 64): L0=1"));
         assert!(text.contains("rung-length hist: [1,2)=3 [2,4)=4 [8,16)=1"));
@@ -210,5 +216,6 @@ mod tests {
         let text = serde_json::to_string(&p.to_json());
         assert_eq!(text, serde_json::to_string(&sample().to_json()));
         serde_json::from_str(&text).expect("profile JSON parses");
+        assert!(text.contains("\"rebuckets\":3"), "{text}");
     }
 }
