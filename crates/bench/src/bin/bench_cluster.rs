@@ -30,6 +30,13 @@
 //! 100k-record request log (gated on log depth and a finite positive
 //! rate).
 //!
+//! The `render` block times the artifact writers at 10 hosts: the
+//! Chrome trace, the metrics CSV and JSON, and the request log of one
+//! fully instrumented run, each rendered repeatedly. It records bytes
+//! and MB/s per artifact and `render_cost`, the total render time over
+//! the same workload's bare simulation time in this process — a
+//! same-run ratio gated by `--check` like the `on_cost` rows.
+//!
 //! The `sharded` rows measure the multi-core fleet engine
 //! (`Engine::Sharded` over every available core) against the
 //! single-threaded engine (`Engine::Single`) on the cell-structured
@@ -224,6 +231,49 @@ fn measure_monitor(
     ((events * iters) as f64 / elapsed, last, folds)
 }
 
+/// Render each artifact of one fully instrumented run (trace, metrics,
+/// request log) until `budget_ms` is spent on it (at least twice),
+/// returning `(name, bytes, seconds per render)` per artifact.
+fn measure_render(
+    spec: &FleetSpec,
+    tenants: &[FleetTenantSpec],
+    cfg: &TpuConfig,
+    budget_ms: u64,
+) -> Vec<(&'static str, usize, f64)> {
+    let tcfg = TelemetryConfig {
+        trace: true,
+        metrics: Some(MetricsConfig::default()),
+        requests: true,
+        profile: false,
+    };
+    let mut tel = RunTelemetry::from_config(&tcfg);
+    run_fleet_telemetry(spec, tenants, cfg, &mut tel);
+    let tracer = tel.tracer.expect("trace on");
+    let metrics = tel.metrics.expect("metrics on");
+    let log = tel.requests.expect("request log on");
+    let renders: [(&'static str, &dyn Fn() -> String); 4] = [
+        ("chrome-trace", &|| tracer.render()),
+        ("metrics.csv", &|| metrics.to_csv()),
+        ("metrics.json", &|| {
+            serde_json::to_string_pretty(&metrics.to_json())
+        }),
+        ("request-log", &|| log.render()),
+    ];
+    renders
+        .into_iter()
+        .map(|(name, render)| {
+            let bytes = render().len();
+            let start = Instant::now();
+            let mut iters = 0u32;
+            while iters < 2 || start.elapsed().as_millis() < budget_ms as u128 {
+                assert_eq!(render().len(), bytes, "{name}: renders must be identical");
+                iters += 1;
+            }
+            (name, bytes, start.elapsed().as_secs_f64() / iters as f64)
+        })
+        .collect()
+}
+
 struct Row {
     hosts: usize,
     events: u64,
@@ -309,6 +359,25 @@ impl MonitorRow {
     }
 }
 
+/// The artifact-render measurement: per-artifact bytes and render
+/// time, against the bare simulation time of the same workload
+/// measured in the same process.
+struct RenderRow {
+    hosts: usize,
+    /// Bare (instruments off) simulation seconds per run.
+    sim_s: f64,
+    /// `(artifact, bytes, seconds per render)`.
+    artifacts: Vec<(&'static str, usize, f64)>,
+}
+
+impl RenderRow {
+    /// Seconds to render every artifact once, per bare simulation
+    /// second.
+    fn render_cost(&self) -> f64 {
+        self.artifacts.iter().map(|a| a.2).sum::<f64>() / self.sim_s
+    }
+}
+
 /// The analyzer throughput measurement: full latency attribution
 /// (phases, tails, occupancy, burn windows) over a committed-scale
 /// request log, in records/sec.
@@ -340,6 +409,7 @@ fn rows_to_json(
     telemetry: Option<&TelemetryRow>,
     request_log: Option<&RequestLogRow>,
     monitor: Option<&MonitorRow>,
+    render: Option<&RenderRow>,
     analyze: Option<&AnalyzeRow>,
     resilience: Option<&ResilienceRow>,
 ) -> serde_json::Value {
@@ -540,6 +610,37 @@ fn rows_to_json(
             ]),
         ));
     }
+    if let Some(r) = render {
+        let artifacts = r
+            .artifacts
+            .iter()
+            .map(|&(name, bytes, secs)| {
+                Value::object([
+                    ("artifact".to_string(), Value::String(name.to_string())),
+                    ("bytes".to_string(), Value::Number(bytes as f64)),
+                    (
+                        "mb_per_sec".to_string(),
+                        Value::Number((bytes as f64 / secs / 1e6).round()),
+                    ),
+                ])
+            })
+            .collect();
+        fields.push((
+            "render".to_string(),
+            Value::object([
+                ("hosts".to_string(), Value::Number(r.hosts as f64)),
+                ("artifacts".to_string(), Value::Array(artifacts)),
+                (
+                    "sim_ms".to_string(),
+                    Value::Number((r.sim_s * 1e5).round() / 100.0),
+                ),
+                (
+                    "render_cost".to_string(),
+                    Value::Number((r.render_cost() * 100.0).round() / 100.0),
+                ),
+            ]),
+        ));
+    }
     if let Some(a) = analyze {
         fields.push((
             "analyze".to_string(),
@@ -583,16 +684,17 @@ fn rows_to_json(
     Value::object(fields)
 }
 
-/// Pull `<section>.on_cost` out of a committed report (absent in
-/// reports that predate the section).
-fn committed_on_cost(doc: &serde_json::Value, section: &str) -> Option<f64> {
+/// Pull the number `<section>.<key>` (an `on_cost` or `render_cost`)
+/// out of a committed report (absent in reports that predate the
+/// section).
+fn committed_number(doc: &serde_json::Value, section: &str, key: &str) -> Option<f64> {
     let serde_json::Value::Object(top) = doc else {
         return None;
     };
     let serde_json::Value::Object(t) = top.get(section)? else {
         return None;
     };
-    match t.get("on_cost") {
+    match t.get(key) {
         Some(serde_json::Value::Number(c)) => Some(*c),
         _ => None,
     }
@@ -791,7 +893,7 @@ fn main() -> ExitCode {
     // the regression being guarded: telemetry must stay pay-for-what-
     // you-use, and even on-mode must not distort the engine (the report
     // equality is asserted).
-    let (telemetry_row, request_log_row, monitor_row) = if run_telemetry_row {
+    let (telemetry_row, request_log_row, monitor_row, render_row) = if run_telemetry_row {
         let (spec, tenants) = spec_for(TELEMETRY_HOSTS);
         let (off_eps, events, off_run) = measure(budget_ms, || run_fleet(&spec, &tenants, &cfg));
         let (on_eps, on_run) = measure_telemetry(&spec, &tenants, &cfg, budget_ms);
@@ -853,9 +955,29 @@ fn main() -> ExitCode {
             "monitor hosts={:<4} folds/iter={:<7} off={:>12.0} ev/s  on={:>12.0} ev/s  on-cost={:.2}x",
             mon_row.hosts, mon_row.folds, mon_row.off_eps, mon_row.on_eps, mon_row.on_cost()
         );
-        (Some(row), Some(req_row), Some(mon_row))
+        // The render block divides by the same off measurement: how
+        // long writing the artifacts takes next to the run itself.
+        let render_row = RenderRow {
+            hosts: TELEMETRY_HOSTS,
+            sim_s: events as f64 / off_eps,
+            artifacts: measure_render(&spec, &tenants, &cfg, budget_ms / 4),
+        };
+        for &(name, bytes, secs) in &render_row.artifacts {
+            println!(
+                "render hosts={:<4} {name:<13} bytes={bytes:<9} {:>8.1} MB/s",
+                render_row.hosts,
+                bytes as f64 / secs / 1e6
+            );
+        }
+        println!(
+            "render hosts={:<4} sim={:.2} ms  render-cost={:.2}x",
+            render_row.hosts,
+            render_row.sim_s * 1e3,
+            render_row.render_cost()
+        );
+        (Some(row), Some(req_row), Some(mon_row), Some(render_row))
     } else {
-        (None, None, None)
+        (None, None, None, None)
     };
 
     // The analyzer throughput row: build one committed-scale request
@@ -937,6 +1059,7 @@ fn main() -> ExitCode {
         telemetry_row.as_ref(),
         request_log_row.as_ref(),
         monitor_row.as_ref(),
+        render_row.as_ref(),
         analyze_row.as_ref(),
         resilience_row.as_ref(),
     );
@@ -991,9 +1114,10 @@ fn main() -> ExitCode {
         // Telemetry gate: the same-run off/on ratio must not grow past
         // the committed cost plus tolerance — a creeping hot-path tax
         // in off mode (or runaway instrument cost in on mode) trips it.
-        if let (Some(measured), Some(want)) =
-            (&telemetry_row, committed_on_cost(&committed, "telemetry"))
-        {
+        if let (Some(measured), Some(want)) = (
+            &telemetry_row,
+            committed_number(&committed, "telemetry", "on_cost"),
+        ) {
             let ceiling = want * (1.0 + tolerance);
             let got = measured.on_cost();
             if got > ceiling {
@@ -1017,7 +1141,7 @@ fn main() -> ExitCode {
         // as an absolute allowance.
         if let (Some(measured), Some(want)) = (
             &request_log_row,
-            committed_on_cost(&committed, "request_log"),
+            committed_number(&committed, "request_log", "on_cost"),
         ) {
             let ceiling = want * (1.0 + tolerance) + tolerance;
             let got = measured.on_cost();
@@ -1039,9 +1163,10 @@ fn main() -> ExitCode {
         // band plus absolute allowance as the record stream. A breach
         // means the streaming fold (burn windows, anomaly detectors,
         // incident state) grew a per-event or per-fold hot-path tax.
-        if let (Some(measured), Some(want)) =
-            (&monitor_row, committed_on_cost(&committed, "monitor"))
-        {
+        if let (Some(measured), Some(want)) = (
+            &monitor_row,
+            committed_number(&committed, "monitor", "on_cost"),
+        ) {
             let ceiling = want * (1.0 + tolerance) + tolerance;
             let got = measured.on_cost();
             if got > ceiling {
@@ -1054,6 +1179,30 @@ fn main() -> ExitCode {
             }
             println!(
                 "gate ok for monitor: on-cost {got:.2}x <= {ceiling:.2}x \
+                 (committed {want:.2}x + {:.0}% tolerance)",
+                tolerance * 100.0
+            );
+        }
+        // The render ratio gets the same relative band plus absolute
+        // allowance: its numerator and denominator are timed apart, so
+        // it is noisier than the paired rows. A breach means an
+        // artifact writer grew a per-record cost.
+        if let (Some(measured), Some(want)) = (
+            &render_row,
+            committed_number(&committed, "render", "render_cost"),
+        ) {
+            let ceiling = want * (1.0 + tolerance) + tolerance;
+            let got = measured.render_cost();
+            if got > ceiling {
+                eprintln!(
+                    "bench_cluster: REGRESSION: render cost {got:.2}x exceeded \
+                     {ceiling:.2}x (committed {want:.2}x + {:.0}% tolerance)",
+                    tolerance * 100.0
+                );
+                return ExitCode::FAILURE;
+            }
+            println!(
+                "gate ok for render: cost {got:.2}x <= {ceiling:.2}x \
                  (committed {want:.2}x + {:.0}% tolerance)",
                 tolerance * 100.0
             );

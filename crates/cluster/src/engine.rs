@@ -649,6 +649,9 @@ struct FleetState<'a> {
     /// [`EVENT_NAMES`] order.
     counts: [u64; 10],
     failures_processed: usize,
+    /// Each local tenant's `latency/{name}` sketch series, named once
+    /// at run start (empty when metrics are off).
+    latency_series: Vec<String>,
 }
 
 impl<'a> FleetState<'a> {
@@ -793,6 +796,13 @@ impl<'a> FleetState<'a> {
         }
 
         let timeline = vec![sample_now(0.0, &trs, &hosts)];
+        let latency_series = match tel.metrics {
+            Some(_) => trs
+                .iter()
+                .map(|tr| format!("latency/{}", tr.spec.tenant.name))
+                .collect(),
+            None => Vec::new(),
+        };
         FleetState {
             spec,
             scope,
@@ -807,6 +817,7 @@ impl<'a> FleetState<'a> {
             events_processed: 0,
             counts: [0; 10],
             failures_processed: 0,
+            latency_series,
         }
     }
 
@@ -1262,9 +1273,9 @@ impl<'a> FleetState<'a> {
         let core = &self.hosts[host].core;
         let spec = &self.trs[tenant].spec.tenant;
         if let Some(m) = self.tel.metrics.as_mut() {
-            let series = format!("latency/{}", spec.name);
+            let series = &self.latency_series[tenant];
             for l in core.slot_latencies_from(done.slot, from) {
-                m.observe(&series, l);
+                m.observe(series, l);
             }
         }
         if let Some(mon) = self.tel.monitor.as_mut() {

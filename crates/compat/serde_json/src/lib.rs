@@ -7,8 +7,16 @@
 //! build their JSON explicitly, which keeps the shim tiny and the
 //! output format under test control. Numbers render through Rust's
 //! shortest-roundtrip `{}` formatting and parse with `str::parse`, so a
-//! finite `f64` survives a serialize → parse cycle bit for bit — the
-//! property `tpu_serve`'s trace replay relies on.
+//! finite `f64` other than `-0.0` survives a serialize → parse cycle
+//! bit for bit — the property `tpu_serve`'s trace replay relies on.
+//! `-0.0` renders as `0` and so parses back as `+0.0`; `NaN` and the
+//! infinities render as the non-JSON tokens `NaN`, `inf` and `-inf`,
+//! which [`from_str`] rejects.
+//!
+//! The writer appends straight into one `String`: [`write_number`] and
+//! [`write_str`] are public so artifact renderers can stream their
+//! records through the same number and string formatting without
+//! building a [`Value`] tree first.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,7 +28,7 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any finite number (rendered with `{}`; integers stay integral).
+    /// A number (rendered by [`write_number`]; integers stay integral).
     Number(f64),
     /// A string.
     String(String),
@@ -40,39 +48,19 @@ impl Value {
         match self {
             Value::Null => f.push_str("null"),
             Value::Bool(b) => f.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    f.push_str(&format!("{}", *n as i64));
-                } else {
-                    f.push_str(&format!("{n}"));
-                }
-            }
-            Value::String(s) => {
-                f.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => f.push_str("\\\""),
-                        '\\' => f.push_str("\\\\"),
-                        '\n' => f.push_str("\\n"),
-                        '\t' => f.push_str("\\t"),
-                        '\r' => f.push_str("\\r"),
-                        c if (c as u32) < 0x20 => f.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => f.push(c),
-                    }
-                }
-                f.push('"');
-            }
+            Value::Number(n) => write_number(f, *n),
+            Value::String(s) => write_str(f, s),
             Value::Array(items) => {
                 f.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
                         f.push(',');
                     }
-                    Self::newline(f, indent, level + 1);
+                    newline(f, indent, level + 1);
                     v.write(f, indent, level + 1);
                 }
                 if !items.is_empty() {
-                    Self::newline(f, indent, level);
+                    newline(f, indent, level);
                 }
                 f.push(']');
             }
@@ -82,8 +70,8 @@ impl Value {
                     if i > 0 {
                         f.push(',');
                     }
-                    Self::newline(f, indent, level + 1);
-                    Value::String(k.clone()).write(f, indent, level + 1);
+                    newline(f, indent, level + 1);
+                    write_str(f, k);
                     f.push(':');
                     if indent.is_some() {
                         f.push(' ');
@@ -91,17 +79,89 @@ impl Value {
                     v.write(f, indent, level + 1);
                 }
                 if !map.is_empty() {
-                    Self::newline(f, indent, level);
+                    newline(f, indent, level);
                 }
                 f.push('}');
             }
         }
     }
+}
 
-    fn newline(f: &mut String, indent: Option<usize>, level: usize) {
-        if let Some(w) = indent {
-            f.push('\n');
-            f.push_str(&" ".repeat(w * level));
+/// Append `n` as this shim renders every JSON number: integral values
+/// below 9e15 in magnitude as an integer, anything else through `f64`'s
+/// shortest-roundtrip `{}` formatting. Writes straight into `out`,
+/// allocating nothing beyond its growth.
+///
+/// `-0.0` renders as `0`, and `NaN` / `±inf` render as the non-JSON
+/// tokens `NaN` / `inf` / `-inf`; callers emit finite numbers only.
+pub fn write_number(out: &mut String, n: f64) {
+    if n.fract() == 0.0 && n.abs() < 9e15 {
+        // Integer digits by hand (at most 16 below 9e15): most numbers
+        // in the artifacts are ids and counts, and this skips the
+        // formatting machinery. `-0.0` is not below zero, so it
+        // renders as `0`.
+        let mut digits = [0u8; 16];
+        let mut i = digits.len();
+        let mut v = (n as i64).unsigned_abs();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    } else {
+        use fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Append `s` as a quoted JSON string, escaping `"`, `\\`, and every
+/// control character (`\n`, `\t`, `\r` by name, the rest as
+/// `\u00XX`). Unescaped runs are copied in one piece.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            use fmt::Write;
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Start a new pretty-printed line indented `width × level` spaces (a
+/// no-op in compact mode).
+fn newline(f: &mut String, indent: Option<usize>, level: usize) {
+    const SPACES: &str = "                                ";
+    if let Some(w) = indent {
+        f.push('\n');
+        let mut pad = w * level;
+        while pad > 0 {
+            let n = pad.min(SPACES.len());
+            f.push_str(&SPACES[..n]);
+            pad -= n;
         }
     }
 }
@@ -467,6 +527,43 @@ mod tests {
                 other => panic!("expected a number, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn edge_numbers_render_as_today() {
+        // Pinned, not endorsed: every artifact fingerprint depends on
+        // these bytes, so a change here is a format change.
+        let r = |x: f64| to_string(&Value::Number(x));
+        assert_eq!(r(-0.0), "0");
+        assert_eq!(r(f64::NAN), "NaN");
+        assert_eq!(r(f64::INFINITY), "inf");
+        assert_eq!(r(f64::NEG_INFINITY), "-inf");
+        assert_eq!(r(9e15), "9000000000000000");
+        assert_eq!(r(8_999_999_999_999_999.0), "8999999999999999");
+        assert_eq!(r(-8_999_999_999_999_998.0), "-8999999999999998");
+        assert_eq!(r(1e21), "1000000000000000000000");
+        assert_eq!(r(2.5e-7), "0.00000025");
+        // -0.0 comes back as +0.0; the non-finite tokens do not parse.
+        match from_str(&r(-0.0)).unwrap() {
+            Value::Number(z) => assert_eq!(z.to_bits(), 0.0f64.to_bits()),
+            other => panic!("expected a number, got {other:?}"),
+        }
+        assert!(from_str(&r(f64::NAN)).is_err());
+        assert!(from_str(&r(f64::INFINITY)).is_err());
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\nd\te\rf\u{1}g\u{1f}h\u{7f}é😀");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\u{7f}é😀\"");
+        let mut pretty = String::new();
+        Value::Array(vec![Value::object([(
+            "k".to_string(),
+            Value::Array(vec![Value::Null]),
+        )])])
+        .write(&mut pretty, Some(2), 0);
+        assert_eq!(pretty, "[\n  {\n    \"k\": [\n      null\n    ]\n  }\n]");
     }
 
     #[test]

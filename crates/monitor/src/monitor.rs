@@ -713,7 +713,14 @@ impl MonitorSink for FleetMonitor {
     }
 
     fn record(&mut self, series: &str, value: f64) {
-        self.snapshot.insert(series.to_string(), value);
+        // Every gauge is re-recorded at every sample: copy the name only
+        // the first time the series appears.
+        match self.snapshot.get_mut(series) {
+            Some(v) => *v = value,
+            None => {
+                self.snapshot.insert(series.to_string(), value);
+            }
+        }
     }
 
     fn close_sample(&mut self, t_ms: f64) {
@@ -753,10 +760,15 @@ impl MonitorSink for FleetMonitor {
     }
 
     fn observe_latency(&mut self, tenant: &str, latency_ms: f64, slo_ms: f64) {
-        let acc = self.tenant_acc.entry(tenant.to_string()).or_insert((0, 0));
-        acc.0 += 1;
-        if latency_ms > slo_ms {
-            acc.1 += 1;
+        let missed = u64::from(latency_ms > slo_ms);
+        match self.tenant_acc.get_mut(tenant) {
+            Some(acc) => {
+                acc.0 += 1;
+                acc.1 += missed;
+            }
+            None => {
+                self.tenant_acc.insert(tenant.to_string(), (1, missed));
+            }
         }
     }
 

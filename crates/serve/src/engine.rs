@@ -136,6 +136,15 @@ pub fn run_telemetry(
         q.schedule(at, Event::Arrival { tenant: i });
     }
 
+    // Each tenant's `latency/{name}` sketch series, named once.
+    let latency_series: Vec<String> = match tel.metrics {
+        Some(_) => tenants
+            .iter()
+            .map(|t| format!("latency/{}", t.name))
+            .collect(),
+        None => Vec::new(),
+    };
+
     // Per-event-type tallies for the engine profile (plain adds, no
     // branches; folded into `tel.profile` after the loop).
     let mut counts = [0u64; 4];
@@ -180,9 +189,9 @@ pub fn run_telemetry(
                         // the end of the slot's buffer; feed them to the
                         // per-tenant sketch (slot index == tenant index).
                         let from = host.latency_count(done.slot) - done.completions;
-                        let series = format!("latency/{}", tenants[done.slot].name);
+                        let series = &latency_series[done.slot];
                         for l in host.slot_latencies_from(done.slot, from) {
-                            m.observe(&series, l);
+                            m.observe(series, l);
                         }
                     }
                 }

@@ -40,6 +40,8 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod profile;
 pub mod reqlog;
 pub mod stats;

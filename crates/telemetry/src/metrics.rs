@@ -21,6 +21,7 @@ use crate::stats::LatencySketch;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 /// Sampling cadence and ring capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,10 +56,14 @@ struct SeriesBuf {
     dropped: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SketchBuf {
     interval: LatencySketch,
     cumulative: LatencySketch,
+    /// The `{series}.p50` / `{series}.p99` names its flushes record
+    /// under, built once when the sketch is created.
+    p50: String,
+    p99: String,
 }
 
 /// Ring-buffered, named time series sampled on a fixed cadence.
@@ -115,9 +120,20 @@ impl MetricsRecorder {
     /// sketches (created on first use). Percentile points materialize at
     /// the next cadence advance.
     pub fn observe(&mut self, series: &str, value_ms: f64) {
-        let buf = self.sketches.entry(series.to_string()).or_default();
+        if let Some(buf) = self.sketches.get_mut(series) {
+            buf.interval.observe(value_ms);
+            buf.cumulative.observe(value_ms);
+            return;
+        }
+        let mut buf = SketchBuf {
+            interval: LatencySketch::default(),
+            cumulative: LatencySketch::default(),
+            p50: format!("{series}.p50"),
+            p99: format!("{series}.p99"),
+        };
         buf.interval.observe(value_ms);
         buf.cumulative.observe(value_ms);
+        self.sketches.insert(series.to_string(), buf);
     }
 
     /// The whole-run cumulative sketch of `series`, if any sample was
@@ -132,31 +148,21 @@ impl MetricsRecorder {
     /// it once more at end of run so the final partial interval is not
     /// lost.
     pub fn flush_sketches(&mut self, t_ms: f64) {
-        let flushed: Vec<(String, f64, f64)> = self
-            .sketches
-            .iter_mut()
-            .filter(|(_, b)| !b.interval.is_empty())
-            .map(|(name, b)| {
-                let p50 = b.interval.percentile(0.5);
-                let p99 = b.interval.percentile(0.99);
-                b.interval.reset();
-                (name.clone(), p50, p99)
-            })
-            .collect();
-        for (name, p50, p99) in flushed {
-            self.record(&format!("{name}.p50"), t_ms, p50);
-            self.record(&format!("{name}.p99"), t_ms, p99);
+        for b in self.sketches.values_mut() {
+            if b.interval.is_empty() {
+                continue;
+            }
+            let p50 = b.interval.percentile(0.5);
+            let p99 = b.interval.percentile(0.99);
+            b.interval.reset();
+            push_point(&mut self.series, self.ring_cap, &b.p50, t_ms, p50);
+            push_point(&mut self.series, self.ring_cap, &b.p99, t_ms, p99);
         }
     }
 
     /// Append a point to `series` (created on first use).
     pub fn record(&mut self, series: &str, t_ms: f64, value: f64) {
-        let buf = self.series.entry(series.to_string()).or_default();
-        if buf.points.len() == self.ring_cap {
-            buf.points.pop_front();
-            buf.dropped += 1;
-        }
-        buf.points.push_back(Point { t_ms, value });
+        push_point(&mut self.series, self.ring_cap, series, t_ms, value);
     }
 
     /// Series names, sorted.
@@ -189,12 +195,19 @@ impl MetricsRecorder {
     }
 
     /// Export every series in long format: `t_ms,series,value` with a
-    /// header row, series in name order, points oldest first.
+    /// header row, series in name order, points oldest first. Written
+    /// straight into one pre-sized string.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_ms,series,value\n");
+        let size: usize = self
+            .series
+            .iter()
+            .map(|(n, b)| b.points.len() * (n.len() + 32))
+            .sum();
+        let mut out = String::with_capacity(18 + size);
+        out.push_str("t_ms,series,value\n");
         for (name, buf) in &self.series {
             for p in &buf.points {
-                out.push_str(&format!("{},{},{}\n", p.t_ms, name, p.value));
+                let _ = writeln!(out, "{},{},{}", p.t_ms, name, p.value);
             }
         }
         out
@@ -228,9 +241,86 @@ impl MetricsRecorder {
     }
 }
 
+/// Append a point to `series` in `map`, creating the series on first
+/// use and dropping its oldest point once it holds `ring_cap`. The name
+/// is copied only when the series is new.
+fn push_point(
+    map: &mut BTreeMap<String, SeriesBuf>,
+    ring_cap: usize,
+    series: &str,
+    t_ms: f64,
+    value: f64,
+) {
+    let push = |buf: &mut SeriesBuf| {
+        if buf.points.len() == ring_cap {
+            buf.points.pop_front();
+            buf.dropped += 1;
+        }
+        buf.points.push_back(Point { t_ms, value });
+    };
+    if let Some(buf) = map.get_mut(series) {
+        push(buf);
+    } else {
+        let mut buf = SeriesBuf::default();
+        push(&mut buf);
+        map.insert(series.to_string(), buf);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use proptest::prelude::*;
+
+    /// The CSV as the pre-streaming export built it: one `format!` per
+    /// point.
+    fn csv(m: &MetricsRecorder) -> String {
+        let mut out = String::from("t_ms,series,value\n");
+        for (name, buf) in &m.series {
+            for p in &buf.points {
+                out.push_str(&format!("{},{},{}\n", p.t_ms, name, p.value));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The CSV and the pretty JSON document equal their
+        /// pre-streaming renders, across ring drops and flushed
+        /// latency percentiles.
+        #[test]
+        fn exports_match_the_pre_streaming_writer(
+            calls in prop::collection::vec(
+                (oracle::name(), any::<bool>(), oracle::time(), oracle::number()),
+                0..32,
+            ),
+            ring_cap in 1usize..5,
+            interval_ms in prop_oneof![Just(0.5), Just(1.0), 0.1f64..3.0],
+        ) {
+            let mut m = MetricsRecorder::new(&MetricsConfig { interval_ms, ring_cap });
+            for (series, latency, t, value) in &calls {
+                if m.due(*t) {
+                    m.advance(*t);
+                }
+                if *latency {
+                    m.observe(series, *value);
+                } else {
+                    m.record(series, *t, *value);
+                }
+            }
+            m.flush_sketches(100.0);
+            prop_assert_eq!(m.to_csv(), csv(&m));
+            let doc = m.to_json();
+            prop_assert_eq!(
+                serde_json::to_string_pretty(&doc),
+                oracle::to_string_pretty(&doc)
+            );
+            prop_assert_eq!(serde_json::to_string(&doc), oracle::to_string(&doc));
+        }
+    }
 
     #[test]
     fn cadence_skips_to_last_point_before_now() {

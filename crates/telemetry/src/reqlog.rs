@@ -29,7 +29,7 @@
 //! exactly; when several same-tenant requests share one arrival
 //! timestamp the full count lands on the first absorbed record.
 
-use serde_json::Value;
+use serde_json::{write_number, write_str, Value};
 use std::collections::BTreeMap;
 
 /// One served request, fully decomposed.
@@ -265,72 +265,66 @@ impl RequestLog {
         self.pending_retries.values().map(|&n| n as u64).sum()
     }
 
-    /// The artifact as a JSON value:
-    /// `{format, version, tenants: [{name, slo_ms}], records: [[tenant,
-    /// host, die, arrived_ms, dispatch_ms, swap_ms, end_ms, retries]]}`.
-    pub fn to_json(&self) -> Value {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(name, slo_ms)| {
-                Value::object([
-                    ("name".to_string(), Value::String(name.clone())),
-                    ("slo_ms".to_string(), Value::Number(*slo_ms)),
-                ])
-            })
-            .collect();
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                Value::Array(vec![
-                    Value::Number(r.tenant as f64),
-                    Value::Number(r.host as f64),
-                    Value::Number(r.die as f64),
-                    Value::Number(r.arrived_ms),
-                    Value::Number(r.dispatch_ms),
-                    Value::Number(r.swap_ms),
-                    Value::Number(r.end_ms),
-                    Value::Number(r.retries as f64),
-                ])
-            })
-            .collect();
-        let mut top = vec![
-            (
-                "format".to_string(),
-                Value::String("tpu-request-log".to_string()),
-            ),
-            ("version".to_string(), Value::Number(1.0)),
-            ("tenants".to_string(), Value::Array(tenants)),
-            ("records".to_string(), Value::Array(records)),
-        ];
+    /// The artifact text the CLIs write — compact JSON plus a trailing
+    /// newline, bit-identical across same-seed runs:
+    /// `{format, lost?, records: [[tenant, host, die, arrived_ms,
+    /// dispatch_ms, swap_ms, end_ms, retries]], tenants: [{name,
+    /// slo_ms}], version}`, keys in sorted order. Written straight into
+    /// one pre-sized string, record by record.
+    pub fn render(&self) -> String {
+        let mut out =
+            String::with_capacity(128 + 48 * self.tenants.len() + 80 * self.records.len());
+        out.push_str("{\"format\":\"tpu-request-log\",");
         // Dropped/shed tallies ride along only when a resilience run
         // produced any, so pre-existing artifacts stay byte-identical.
         if !self.dropped.is_empty() || !self.shed.is_empty() {
             let mut names: Vec<&String> = self.dropped.keys().chain(self.shed.keys()).collect();
             names.sort();
             names.dedup();
-            let lost = names
-                .into_iter()
-                .map(|n| {
-                    Value::Array(vec![
-                        Value::String(n.clone()),
-                        Value::Number(self.dropped_for(n) as f64),
-                        Value::Number(self.shed_for(n) as f64),
-                    ])
-                })
-                .collect();
-            top.push(("lost".to_string(), Value::Array(lost)));
+            out.push_str("\"lost\":[");
+            for (i, n) in names.into_iter().enumerate() {
+                out.push_str(if i > 0 { ",[" } else { "[" });
+                write_str(&mut out, n);
+                out.push(',');
+                write_number(&mut out, self.dropped_for(n) as f64);
+                out.push(',');
+                write_number(&mut out, self.shed_for(n) as f64);
+                out.push(']');
+            }
+            out.push_str("],");
         }
-        Value::object(top)
-    }
-
-    /// The artifact text the CLIs write: compact JSON plus a trailing
-    /// newline. Bit-identical across same-seed runs.
-    pub fn render(&self) -> String {
-        let mut s = serde_json::to_string(&self.to_json());
-        s.push('\n');
-        s
+        out.push_str("\"records\":[");
+        for (i, r) in self.records.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            let (tenant, host, die) = (r.tenant as f64, r.host as f64, r.die as f64);
+            for x in [
+                tenant,
+                host,
+                die,
+                r.arrived_ms,
+                r.dispatch_ms,
+                r.swap_ms,
+                r.end_ms,
+            ] {
+                write_number(&mut out, x);
+                out.push(',');
+            }
+            write_number(&mut out, r.retries as f64);
+            out.push(']');
+        }
+        out.push_str("],\"tenants\":[");
+        for (i, (name, slo_ms)) in self.tenants.iter().enumerate() {
+            out.push_str(if i > 0 { ",{\"name\":" } else { "{\"name\":" });
+            write_str(&mut out, name);
+            out.push_str(",\"slo_ms\":");
+            write_number(&mut out, *slo_ms);
+            out.push('}');
+        }
+        out.push_str("],\"version\":1}\n");
+        out
     }
 
     /// True when `v` looks like a rendered request log.
@@ -448,6 +442,121 @@ fn as_array<'a>(v: Option<&'a Value>, key: &str) -> Result<&'a Vec<Value>, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use proptest::prelude::*;
+
+    /// The artifact as the pre-streaming render built it:
+    /// `{format, version, tenants: [{name, slo_ms}], records: [[tenant,
+    /// host, die, arrived_ms, dispatch_ms, swap_ms, end_ms, retries]]}`.
+    fn to_json(log: &RequestLog) -> Value {
+        let tenants = log
+            .tenants
+            .iter()
+            .map(|(name, slo_ms)| {
+                Value::object([
+                    ("name".to_string(), Value::String(name.clone())),
+                    ("slo_ms".to_string(), Value::Number(*slo_ms)),
+                ])
+            })
+            .collect();
+        let records = log
+            .records
+            .iter()
+            .map(|r| {
+                Value::Array(vec![
+                    Value::Number(r.tenant as f64),
+                    Value::Number(r.host as f64),
+                    Value::Number(r.die as f64),
+                    Value::Number(r.arrived_ms),
+                    Value::Number(r.dispatch_ms),
+                    Value::Number(r.swap_ms),
+                    Value::Number(r.end_ms),
+                    Value::Number(r.retries as f64),
+                ])
+            })
+            .collect();
+        let mut top = vec![
+            (
+                "format".to_string(),
+                Value::String("tpu-request-log".to_string()),
+            ),
+            ("version".to_string(), Value::Number(1.0)),
+            ("tenants".to_string(), Value::Array(tenants)),
+            ("records".to_string(), Value::Array(records)),
+        ];
+        // Dropped/shed tallies ride along only when a resilience run
+        // produced any, so pre-existing artifacts stay byte-identical.
+        if !log.dropped.is_empty() || !log.shed.is_empty() {
+            let mut names: Vec<&String> = log.dropped.keys().chain(log.shed.keys()).collect();
+            names.sort();
+            names.dedup();
+            let lost = names
+                .into_iter()
+                .map(|n| {
+                    Value::Array(vec![
+                        Value::String(n.clone()),
+                        Value::Number(log.dropped_for(n) as f64),
+                        Value::Number(log.shed_for(n) as f64),
+                    ])
+                })
+                .collect();
+            top.push(("lost".to_string(), Value::Array(lost)));
+        }
+        Value::object(top)
+    }
+
+    /// One batch: (host, tenant, slo, start, swap, end, arrivals).
+    type Batch = (usize, usize, f64, f64, f64, f64, Vec<f64>);
+
+    fn batch() -> impl Strategy<Value = Batch> {
+        (
+            0usize..3,
+            0usize..4,
+            oracle::number(),
+            oracle::time(),
+            oracle::number(),
+            oracle::number(),
+            prop::collection::vec(oracle::time(), 0..4),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The streaming render equals the `Value`-tree artifact plus a
+        /// newline, for logs absorbed from several probes with retries
+        /// attached, first without and then with a `lost` section.
+        #[test]
+        fn streaming_render_matches_the_value_tree(
+            names in prop::collection::vec(oracle::name(), 4..5),
+            batches in prop::collection::vec(batch(), 0..12),
+            retries in prop::collection::vec((0usize..4, oracle::time()), 0..4),
+            losses in prop::collection::vec((0usize..4, any::<bool>()), 1..5),
+        ) {
+            let mut log = RequestLog::new();
+            for &(tenant, at) in &retries {
+                log.note_retry(&names[tenant], at);
+            }
+            for host in 0..3 {
+                let mut p = RequestProbe::new(host as u32);
+                for (h, t, slo, start, swap, end, arrivals) in &batches {
+                    if *h == host {
+                        p.batch_complete(host, &names[*t], *slo, *start, *swap, *end, arrivals);
+                    }
+                }
+                log.absorb(p);
+            }
+            prop_assert_eq!(log.render(), oracle::to_string(&to_json(&log)) + "\n");
+            for &(tenant, shed) in &losses {
+                if shed {
+                    log.note_shed(&names[tenant], 0.0);
+                } else {
+                    log.note_drop(&names[tenant], 0.0);
+                }
+            }
+            prop_assert_eq!(log.render(), oracle::to_string(&to_json(&log)) + "\n");
+        }
+    }
 
     /// (tenant, slo, start, swap, end, arrivals) per batch.
     type BatchSpec<'a> = (&'a str, f64, f64, f64, f64, &'a [f64]);

@@ -11,8 +11,15 @@
 //! All timestamps are **simulated milliseconds**; the export multiplies
 //! by 1000 into the microsecond unit the format specifies. Nothing here
 //! reads a clock, so two same-seed runs render byte-identical traces.
+//!
+//! Recording allocates no strings: each tracer interns span names into
+//! a table of its own (ids are remapped when a probe is absorbed) and
+//! categories are `&'static str`. Names become text again only in
+//! [`Tracer::render`], which writes the document straight into one
+//! string, and in [`Tracer::summary`].
 
-use serde_json::Value;
+use serde_json::{write_number, write_str};
+use std::collections::HashMap;
 
 /// Trace-event phase, mirroring the Chrome `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,16 +34,19 @@ pub enum Phase {
     Instant,
 }
 
-/// One recorded event.
-#[derive(Debug, Clone, PartialEq)]
+/// One recorded event. It owns no string: the name is an id into the
+/// recording [`Tracer`]'s name table and the category is static, so
+/// recording a span allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Event phase.
     pub phase: Phase,
-    /// Span name (tenant or phase name).
-    pub name: String,
+    /// Span name (tenant or phase name), interned by
+    /// [`Tracer::intern`]; [`Tracer::name`] turns it back.
+    pub name: u32,
     /// Category — groups spans in the UI and in [`Tracer::summary`]
     /// (`"service"`, `"swap"`, `"request"`, `"fleet"`, …).
-    pub cat: String,
+    pub cat: &'static str,
     /// Process id — host index (the fleet front-end uses one past the
     /// last host).
     pub pid: u32,
@@ -48,8 +58,9 @@ pub struct TraceEvent {
     pub dur_ms: f64,
     /// Async span id ([`Phase::AsyncBegin`]/[`Phase::AsyncEnd`] only).
     pub id: u64,
-    /// Extra `args` rendered into the event.
-    pub args: Vec<(String, Value)>,
+    /// Extra `args`, as a `(start, len)` slice of the tracer's argument
+    /// table ([`Tracer::args`]).
+    args: (u32, u32),
 }
 
 /// Aggregated span totals for the compact report summary.
@@ -65,13 +76,29 @@ pub struct SummaryRow {
     pub total_ms: f64,
 }
 
+/// A process or thread naming record (`ph:"M"`).
+#[derive(Debug, Clone, Copy)]
+struct Meta {
+    /// `"process_name"` or `"thread_name"`.
+    kind: &'static str,
+    pid: u32,
+    tid: u32,
+    /// The track's display name, interned like event names.
+    name: u32,
+}
+
 /// Accumulates trace events and exports them as Chrome trace JSON.
 #[derive(Debug, Default)]
 pub struct Tracer {
     /// Process/thread naming metadata, kept apart so it leads the
     /// export regardless of timestamps.
-    meta: Vec<Value>,
+    meta: Vec<Meta>,
     events: Vec<TraceEvent>,
+    /// Interned names, indexed by id.
+    names: Vec<String>,
+    ids: HashMap<String, u32>,
+    /// Every event's `args`, back to back.
+    args: Vec<(&'static str, f64)>,
 }
 
 impl Tracer {
@@ -95,117 +122,213 @@ impl Tracer {
         &self.events
     }
 
+    /// The id of `name` in this tracer's name table, adding it on first
+    /// use. Ids are dense and assigned in first-use order.
+    pub fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// The name interned as `id`.
+    pub fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// An event's `args`, in recording order (a repeated key renders
+    /// once, with its last value).
+    pub fn args(&self, e: &TraceEvent) -> &[(&'static str, f64)] {
+        let (start, len) = (e.args.0 as usize, e.args.1 as usize);
+        &self.args[start..start + len]
+    }
+
     /// Name the process track `pid` (a host).
     pub fn name_process(&mut self, pid: u32, name: &str) {
-        self.meta.push(meta_event("process_name", pid, 0, name));
+        self.push_meta("process_name", pid, 0, name);
     }
 
     /// Name the thread track `(pid, tid)` (a die).
     pub fn name_thread(&mut self, pid: u32, tid: u32, name: &str) {
-        self.meta.push(meta_event("thread_name", pid, tid, name));
+        self.push_meta("thread_name", pid, tid, name);
     }
 
-    /// Record a complete slice.
+    fn push_meta(&mut self, kind: &'static str, pid: u32, tid: u32, name: &str) {
+        let name = self.intern(name);
+        self.meta.push(Meta {
+            kind,
+            pid,
+            tid,
+            name,
+        });
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        phase: Phase,
+        pid: u32,
+        tid: u32,
+        cat: &'static str,
+        name: u32,
+        ts_ms: f64,
+        dur_ms: f64,
+        id: u64,
+        args: &[(&'static str, f64)],
+    ) {
+        let start = self.args.len() as u32;
+        self.args.extend_from_slice(args);
+        self.events.push(TraceEvent {
+            phase,
+            name,
+            cat,
+            pid,
+            tid,
+            ts_ms,
+            dur_ms,
+            id,
+            args: (start, args.len() as u32),
+        });
+    }
+
+    /// Record a complete slice named by interned id `name`.
     #[allow(clippy::too_many_arguments)]
     pub fn complete(
         &mut self,
         pid: u32,
         tid: u32,
-        cat: &str,
-        name: &str,
+        cat: &'static str,
+        name: u32,
         ts_ms: f64,
         dur_ms: f64,
-        args: Vec<(String, Value)>,
+        args: &[(&'static str, f64)],
     ) {
-        self.events.push(TraceEvent {
-            phase: Phase::Complete,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            pid,
-            tid,
-            ts_ms,
-            dur_ms,
-            id: 0,
-            args,
-        });
+        self.push(Phase::Complete, pid, tid, cat, name, ts_ms, dur_ms, 0, args);
     }
 
     /// Begin a nestable async span.
-    pub fn async_begin(&mut self, pid: u32, cat: &str, name: &str, id: u64, ts_ms: f64) {
-        self.events.push(TraceEvent {
-            phase: Phase::AsyncBegin,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            pid,
-            tid: 0,
-            ts_ms,
-            dur_ms: 0.0,
-            id,
-            args: Vec::new(),
-        });
+    pub fn async_begin(&mut self, pid: u32, cat: &'static str, name: u32, id: u64, ts_ms: f64) {
+        self.push(Phase::AsyncBegin, pid, 0, cat, name, ts_ms, 0.0, id, &[]);
     }
 
     /// End a nestable async span.
-    pub fn async_end(&mut self, pid: u32, cat: &str, name: &str, id: u64, ts_ms: f64) {
-        self.events.push(TraceEvent {
-            phase: Phase::AsyncEnd,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            pid,
-            tid: 0,
-            ts_ms,
-            dur_ms: 0.0,
-            id,
-            args: Vec::new(),
-        });
+    pub fn async_end(&mut self, pid: u32, cat: &'static str, name: u32, id: u64, ts_ms: f64) {
+        self.push(Phase::AsyncEnd, pid, 0, cat, name, ts_ms, 0.0, id, &[]);
     }
 
     /// Record an instant.
     pub fn instant(
         &mut self,
         pid: u32,
-        cat: &str,
-        name: &str,
+        cat: &'static str,
+        name: u32,
         ts_ms: f64,
-        args: Vec<(String, Value)>,
+        args: &[(&'static str, f64)],
     ) {
-        self.events.push(TraceEvent {
-            phase: Phase::Instant,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            pid,
-            tid: 0,
-            ts_ms,
-            dur_ms: 0.0,
-            id: 0,
-            args,
-        });
+        self.push(Phase::Instant, pid, 0, cat, name, ts_ms, 0.0, 0, args);
     }
 
     /// Merge another tracer's events (e.g. a host probe's) into this
-    /// one.
+    /// one, remapping its name ids onto this tracer's table.
     pub fn absorb(&mut self, other: Tracer) {
-        self.meta.extend(other.meta);
-        self.events.extend(other.events);
+        let remap: Vec<u32> = other.names.iter().map(|n| self.intern(n)).collect();
+        let offset = self.args.len() as u32;
+        self.args.extend(other.args);
+        self.meta.extend(other.meta.into_iter().map(|m| Meta {
+            name: remap[m.name as usize],
+            ..m
+        }));
+        self.events
+            .extend(other.events.into_iter().map(|e| TraceEvent {
+                name: remap[e.name as usize],
+                args: (e.args.0 + offset, e.args.1),
+                ..e
+            }));
     }
 
-    /// Export as a Chrome trace-event document: metadata first, then
-    /// events stably sorted by timestamp (insertion order breaks ties,
-    /// so the export is deterministic).
-    pub fn to_chrome_json(&self) -> Value {
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by_key(|&i| self.events[i].ts_ms.to_bits());
-        let mut out: Vec<Value> = self.meta.clone();
-        out.extend(order.into_iter().map(|i| event_json(&self.events[i])));
-        Value::object([
-            ("displayTimeUnit".to_string(), Value::String("ms".into())),
-            ("traceEvents".to_string(), Value::Array(out)),
-        ])
-    }
-
-    /// Render the Chrome trace document as a compact JSON string.
+    /// Render the Chrome trace document as compact JSON: metadata
+    /// first, then events stably sorted by timestamp (insertion order
+    /// breaks ties, so the export is deterministic). Each event is
+    /// written straight into one pre-sized string, keys in sorted
+    /// order (`args, cat, dur, id, name, ph, pid, s, tid, ts`).
+    /// Timestamps are exported in microseconds.
     pub fn render(&self) -> String {
-        serde_json::to_string(&self.to_chrome_json())
+        // Sorting (ts bits, index) pairs is the stable sort by ts.
+        let mut order: Vec<(u64, u32)> = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.ts_ms.to_bits(), i as u32))
+            .collect();
+        order.sort_unstable();
+        let mut out = String::with_capacity(
+            64 + 96 * self.meta.len() + 112 * self.events.len() + 32 * self.args.len(),
+        );
+        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        for (i, m) in self.meta.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"args\":{\"name\":");
+            write_str(&mut out, self.name(m.name));
+            out.push_str("},\"name\":");
+            write_str(&mut out, m.kind);
+            out.push_str(",\"ph\":\"M\",\"pid\":");
+            write_number(&mut out, m.pid as f64);
+            out.push_str(",\"tid\":");
+            write_number(&mut out, m.tid as f64);
+            out.push('}');
+        }
+        for (i, &(_, e)) in order.iter().enumerate() {
+            if i > 0 || !self.meta.is_empty() {
+                out.push(',');
+            }
+            self.write_event(&mut out, &self.events[e as usize]);
+        }
+        out.push_str("]}");
+        out
+    }
+
+    fn write_event(&self, out: &mut String, e: &TraceEvent) {
+        out.push('{');
+        let args = self.args(e);
+        if !args.is_empty() {
+            out.push_str("\"args\":");
+            write_args(out, args);
+            out.push(',');
+        }
+        out.push_str("\"cat\":");
+        write_str(out, e.cat);
+        if e.phase == Phase::Complete {
+            out.push_str(",\"dur\":");
+            write_number(out, e.dur_ms * 1000.0);
+        }
+        if matches!(e.phase, Phase::AsyncBegin | Phase::AsyncEnd) {
+            out.push_str(",\"id\":\"0x");
+            write_hex(out, e.id);
+            out.push('"');
+        }
+        out.push_str(",\"name\":");
+        write_str(out, self.name(e.name));
+        out.push_str(match e.phase {
+            Phase::Complete => ",\"ph\":\"X\"",
+            Phase::AsyncBegin => ",\"ph\":\"b\"",
+            Phase::AsyncEnd => ",\"ph\":\"e\"",
+            Phase::Instant => ",\"ph\":\"i\"",
+        });
+        out.push_str(",\"pid\":");
+        write_number(out, e.pid as f64);
+        if e.phase == Phase::Instant {
+            out.push_str(",\"s\":\"t\"");
+        }
+        out.push_str(",\"tid\":");
+        write_number(out, e.tid as f64);
+        out.push_str(",\"ts\":");
+        write_number(out, e.ts_ms * 1000.0);
+        out.push('}');
     }
 
     /// Aggregate spans into `(cat, name)` totals, sorted by category
@@ -213,32 +336,28 @@ impl Tracer {
     /// spans are paired begin/end per `(id, cat, name)`.
     pub fn summary(&self) -> Vec<SummaryRow> {
         use std::collections::BTreeMap;
-        let mut open: BTreeMap<(u64, &str, &str), Vec<f64>> = BTreeMap::new();
+        let mut open: HashMap<(u64, &str, u32), Vec<f64>> = HashMap::new();
         let mut rows: BTreeMap<(&str, &str), (u64, f64)> = BTreeMap::new();
         for e in &self.events {
+            let key = (e.cat, self.name(e.name));
             match e.phase {
                 Phase::Complete => {
-                    let r = rows.entry((&e.cat, &e.name)).or_insert((0, 0.0));
+                    let r = rows.entry(key).or_insert((0, 0.0));
                     r.0 += 1;
                     r.1 += e.dur_ms;
                 }
                 Phase::AsyncBegin => {
-                    open.entry((e.id, &e.cat, &e.name))
-                        .or_default()
-                        .push(e.ts_ms);
+                    open.entry((e.id, e.cat, e.name)).or_default().push(e.ts_ms);
                 }
                 Phase::AsyncEnd => {
-                    if let Some(begin) = open
-                        .get_mut(&(e.id, e.cat.as_str(), e.name.as_str()))
-                        .and_then(Vec::pop)
-                    {
-                        let r = rows.entry((&e.cat, &e.name)).or_insert((0, 0.0));
+                    if let Some(begin) = open.get_mut(&(e.id, e.cat, e.name)).and_then(Vec::pop) {
+                        let r = rows.entry(key).or_insert((0, 0.0));
                         r.0 += 1;
                         r.1 += e.ts_ms - begin;
                     }
                 }
                 Phase::Instant => {
-                    let r = rows.entry((&e.cat, &e.name)).or_insert((0, 0.0));
+                    let r = rows.entry(key).or_insert((0, 0.0));
                     r.0 += 1;
                 }
             }
@@ -254,47 +373,47 @@ impl Tracer {
     }
 }
 
-fn meta_event(kind: &str, pid: u32, tid: u32, name: &str) -> Value {
-    Value::object([
-        ("ph".to_string(), Value::String("M".into())),
-        ("name".to_string(), Value::String(kind.into())),
-        ("pid".to_string(), Value::Number(pid as f64)),
-        ("tid".to_string(), Value::Number(tid as f64)),
-        (
-            "args".to_string(),
-            Value::object([("name".to_string(), Value::String(name.into()))]),
-        ),
-    ])
+/// Append `id` in lowercase hex without leading zeros (`{:x}`).
+fn write_hex(out: &mut String, id: u64) {
+    let digits = (64 - id.leading_zeros()).div_ceil(4).max(1);
+    for k in (0..digits).rev() {
+        let nibble = ((id >> (4 * k)) & 0xf) as u8;
+        out.push(char::from(if nibble < 10 {
+            b'0' + nibble
+        } else {
+            b'a' + nibble - 10
+        }));
+    }
 }
 
-fn event_json(e: &TraceEvent) -> Value {
-    let mut fields = vec![
-        ("name".to_string(), Value::String(e.name.clone())),
-        ("cat".to_string(), Value::String(e.cat.clone())),
-        ("pid".to_string(), Value::Number(e.pid as f64)),
-        ("tid".to_string(), Value::Number(e.tid as f64)),
-        ("ts".to_string(), Value::Number(e.ts_ms * 1000.0)),
-    ];
-    let ph = match e.phase {
-        Phase::Complete => {
-            fields.push(("dur".to_string(), Value::Number(e.dur_ms * 1000.0)));
-            "X"
+/// Write `args` as a JSON object with keys in sorted order, a repeated
+/// key keeping its last value — what collecting the pairs into a
+/// sorted map would render — without allocating: each pass picks the
+/// smallest key above the previous one (argument lists are tiny).
+fn write_args(out: &mut String, args: &[(&'static str, f64)]) {
+    out.push('{');
+    let mut prev: Option<&str> = None;
+    loop {
+        let mut next: Option<(&str, f64)> = None;
+        for &(k, v) in args {
+            if prev.is_some_and(|p| k <= p) {
+                continue;
+            }
+            match next {
+                Some((nk, _)) if k > nk => {}
+                _ => next = Some((k, v)),
+            }
         }
-        Phase::AsyncBegin => "b",
-        Phase::AsyncEnd => "e",
-        Phase::Instant => {
-            fields.push(("s".to_string(), Value::String("t".into())));
-            "i"
+        let Some((k, v)) = next else { break };
+        if prev.is_some() {
+            out.push(',');
         }
-    };
-    fields.push(("ph".to_string(), Value::String(ph.into())));
-    if matches!(e.phase, Phase::AsyncBegin | Phase::AsyncEnd) {
-        fields.push(("id".to_string(), Value::String(format!("{:#x}", e.id))));
+        write_str(out, k);
+        out.push(':');
+        write_number(out, v);
+        prev = Some(k);
     }
-    if !e.args.is_empty() {
-        fields.push(("args".to_string(), Value::object(e.args.iter().cloned())));
-    }
-    Value::object(fields)
+    out.push('}');
 }
 
 /// Records one host's spans: die activity slices plus the per-request
@@ -307,6 +426,8 @@ fn event_json(e: &TraceEvent) -> Value {
 pub struct HostProbe {
     pid: u32,
     next_id: u64,
+    /// Interned ids of the `queue`, `swap-stall` and `service` phases.
+    phases: [u32; 3],
     tracer: Tracer,
 }
 
@@ -318,9 +439,11 @@ impl HostProbe {
         for d in 0..dies {
             tracer.name_thread(pid, d as u32 + 1, &format!("die {d}"));
         }
+        let phases = ["queue", "swap-stall", "service"].map(|p| tracer.intern(p));
         Self {
             pid,
             next_id: 0,
+            phases,
             tracer,
         }
     }
@@ -343,55 +466,52 @@ impl HostProbe {
         end_ms: f64,
         arrivals: &[f64],
     ) {
-        let tid = die as u32 + 1;
+        let (pid, tid) = (self.pid, die as u32 + 1);
+        let [queue, stall, service] = self.phases;
+        let t = &mut self.tracer;
+        let tenant = t.intern(tenant);
         let served_at = start_ms + swap_ms;
         if swap_ms > 0.0 {
-            self.tracer.complete(
-                self.pid,
+            t.complete(
+                pid,
                 tid,
                 "swap",
                 tenant,
                 start_ms,
                 swap_ms,
-                vec![("swap_ms".to_string(), Value::Number(swap_ms))],
+                &[("swap_ms", swap_ms)],
             );
         }
-        self.tracer.complete(
-            self.pid,
+        let batch = arrivals.len() as f64;
+        t.complete(
+            pid,
             tid,
             "service",
             tenant,
             served_at,
             end_ms - served_at,
-            vec![("batch".to_string(), Value::Number(arrivals.len() as f64))],
+            &[("batch", batch)],
         );
         for &arrived in arrivals {
-            let id = ((self.pid as u64) << 32) | self.next_id;
+            let id = ((pid as u64) << 32) | self.next_id;
             self.next_id += 1;
-            self.tracer
-                .async_begin(self.pid, "request", tenant, id, arrived);
-            self.tracer
-                .async_begin(self.pid, "phase", "queue", id, arrived);
-            self.tracer
-                .async_end(self.pid, "phase", "queue", id, start_ms);
+            t.async_begin(pid, "request", tenant, id, arrived);
+            t.async_begin(pid, "phase", queue, id, arrived);
+            t.async_end(pid, "phase", queue, id, start_ms);
             if swap_ms > 0.0 {
-                self.tracer
-                    .async_begin(self.pid, "phase", "swap-stall", id, start_ms);
-                self.tracer
-                    .async_end(self.pid, "phase", "swap-stall", id, served_at);
+                t.async_begin(pid, "phase", stall, id, start_ms);
+                t.async_end(pid, "phase", stall, id, served_at);
             }
-            self.tracer
-                .async_begin(self.pid, "phase", "service", id, served_at);
-            self.tracer
-                .async_end(self.pid, "phase", "service", id, end_ms);
-            self.tracer
-                .async_end(self.pid, "request", tenant, id, end_ms);
+            t.async_begin(pid, "phase", service, id, served_at);
+            t.async_end(pid, "phase", service, id, end_ms);
+            t.async_end(pid, "request", tenant, id, end_ms);
         }
     }
 
     /// Record a host-level instant (crash, recovery, …).
-    pub fn instant(&mut self, cat: &str, name: &str, ts_ms: f64) {
-        self.tracer.instant(self.pid, cat, name, ts_ms, Vec::new());
+    pub fn instant(&mut self, cat: &'static str, name: &str, ts_ms: f64) {
+        let name = self.tracer.intern(name);
+        self.tracer.instant(self.pid, cat, name, ts_ms, &[]);
     }
 
     /// Surrender the recorded events for absorption into the run
@@ -404,14 +524,197 @@ impl HostProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{self, STATIC_KEYS};
+    use proptest::prelude::*;
+    use serde_json::Value;
+
+    /// The trace as the pre-streaming export built it: a `Value` tree
+    /// of every event, metadata first, then events stably sorted by
+    /// timestamp.
+    fn chrome_json(t: &Tracer) -> Value {
+        let mut order: Vec<usize> = (0..t.events.len()).collect();
+        order.sort_by_key(|&i| t.events[i].ts_ms.to_bits());
+        let mut out: Vec<Value> = t
+            .meta
+            .iter()
+            .map(|m| meta_event(m.kind, m.pid, m.tid, t.name(m.name)))
+            .collect();
+        out.extend(order.into_iter().map(|i| event_json(t, &t.events[i])));
+        Value::object([
+            ("displayTimeUnit".to_string(), Value::String("ms".into())),
+            ("traceEvents".to_string(), Value::Array(out)),
+        ])
+    }
+
+    fn meta_event(kind: &str, pid: u32, tid: u32, name: &str) -> Value {
+        Value::object([
+            ("ph".to_string(), Value::String("M".into())),
+            ("name".to_string(), Value::String(kind.into())),
+            ("pid".to_string(), Value::Number(pid as f64)),
+            ("tid".to_string(), Value::Number(tid as f64)),
+            (
+                "args".to_string(),
+                Value::object([("name".to_string(), Value::String(name.into()))]),
+            ),
+        ])
+    }
+
+    fn event_json(t: &Tracer, e: &TraceEvent) -> Value {
+        let mut fields = vec![
+            (
+                "name".to_string(),
+                Value::String(t.name(e.name).to_string()),
+            ),
+            ("cat".to_string(), Value::String(e.cat.to_string())),
+            ("pid".to_string(), Value::Number(e.pid as f64)),
+            ("tid".to_string(), Value::Number(e.tid as f64)),
+            ("ts".to_string(), Value::Number(e.ts_ms * 1000.0)),
+        ];
+        let ph = match e.phase {
+            Phase::Complete => {
+                fields.push(("dur".to_string(), Value::Number(e.dur_ms * 1000.0)));
+                "X"
+            }
+            Phase::AsyncBegin => "b",
+            Phase::AsyncEnd => "e",
+            Phase::Instant => {
+                fields.push(("s".to_string(), Value::String("t".into())));
+                "i"
+            }
+        };
+        fields.push(("ph".to_string(), Value::String(ph.into())));
+        if matches!(e.phase, Phase::AsyncBegin | Phase::AsyncEnd) {
+            fields.push(("id".to_string(), Value::String(format!("{:#x}", e.id))));
+        }
+        let args = t.args(e);
+        if !args.is_empty() {
+            let pairs = args.iter().map(|&(k, v)| (k.to_string(), Value::Number(v)));
+            fields.push(("args".to_string(), Value::object(pairs)));
+        }
+        Value::object(fields)
+    }
+
+    /// One recording step: (kind, target, name, ts, number, args).
+    type Step = (u8, usize, String, f64, f64, Vec<(usize, f64)>);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..6,
+            0usize..3,
+            oracle::name(),
+            oracle::time(),
+            oracle::number(),
+            prop::collection::vec((0..STATIC_KEYS.len(), oracle::number()), 0..4),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The streaming render equals the `Value`-tree export for run
+        /// tracers mixing their own events with absorbed host probes,
+        /// whose name ids are remapped on absorb.
+        #[test]
+        fn streaming_render_matches_the_value_tree(
+            steps in prop::collection::vec(step(), 0..24),
+            hosts in prop::collection::vec(oracle::name(), 3..4),
+        ) {
+            let mut run = Tracer::new();
+            run.name_process(3, "front end");
+            let mut probes: Vec<HostProbe> = hosts
+                .iter()
+                .enumerate()
+                .map(|(h, name)| HostProbe::new(h as u32, name, 2))
+                .collect();
+            for (kind, target, name, ts, x, args) in &steps {
+                let args: Vec<(&'static str, f64)> =
+                    args.iter().map(|&(k, v)| (STATIC_KEYS[k], v)).collect();
+                let cat = STATIC_KEYS[*target];
+                let probe = &mut probes[*target];
+                match kind {
+                    0 => probe.batch_complete(target % 2, name, *ts, x.abs(), ts + 1.0, &[*ts, *x]),
+                    1 => probe.batch_complete(target % 2, name, *ts, 0.0, *ts, &[*ts]),
+                    2 => probe.instant(cat, name, *ts),
+                    3 => {
+                        let id = run.intern(name);
+                        run.complete(3, *target as u32, cat, id, *ts, *x, &args);
+                    }
+                    4 => {
+                        let id = run.intern(name);
+                        run.instant(3, cat, id, *ts, &args);
+                    }
+                    _ => {
+                        let id = run.intern(name);
+                        let span = x.to_bits();
+                        run.async_begin(3, cat, id, span, *ts);
+                        run.async_end(3, cat, id, span, ts + 0.5);
+                    }
+                }
+            }
+            // Absorbing keeps every event's name text, whatever ids the
+            // probes and the run assigned it.
+            let names = |t: &Tracer| -> Vec<String> {
+                t.events().iter().map(|e| t.name(e.name).to_string()).collect()
+            };
+            let mut expected = names(&run);
+            for p in probes {
+                let t = p.into_tracer();
+                expected.extend(names(&t));
+                run.absorb(t);
+            }
+            prop_assert_eq!(names(&run), expected);
+            prop_assert_eq!(run.render(), oracle::to_string(&chrome_json(&run)));
+        }
+    }
+
+    #[test]
+    fn duplicate_args_keep_the_last_value_in_key_order() {
+        let mut t = Tracer::new();
+        let n = t.intern("n");
+        t.instant(
+            0,
+            "fleet",
+            n,
+            1.0,
+            &[("b", 1.0), ("a", 2.0), ("b", 3.0), ("a", -0.0)],
+        );
+        assert!(t
+            .render()
+            .contains(r#"{"args":{"a":0,"b":3},"cat":"fleet","#));
+        assert_eq!(t.render(), oracle::to_string(&chrome_json(&t)));
+    }
+
+    #[test]
+    fn hex_ids_match_the_format_macro() {
+        for id in [0, 1, 0xf, 0x10, 0xdead_beef, 3 << 32, u64::MAX] {
+            let mut out = String::new();
+            write_hex(&mut out, id);
+            assert_eq!(out, format!("{id:x}"));
+        }
+    }
+
+    #[test]
+    fn absorb_remaps_name_ids() {
+        let mut run = Tracer::new();
+        let z = run.intern("zeta");
+        run.instant(9, "fleet", z, 0.0, &[]);
+        let mut p = HostProbe::new(0, "host 0", 1);
+        p.instant("fault", "zeta", 1.0);
+        p.instant("fault", "crash", 2.0);
+        run.absorb(p.into_tracer());
+        let names: Vec<&str> = run.events().iter().map(|e| run.name(e.name)).collect();
+        assert_eq!(names, ["zeta", "zeta", "crash"]);
+        assert_eq!(run.events()[0].name, run.events()[1].name);
+    }
 
     #[test]
     fn export_is_sorted_and_parses() {
         let mut t = Tracer::new();
         t.name_process(0, "host 0");
-        t.complete(0, 1, "service", "MLP0", 5.0, 2.0, Vec::new());
-        t.complete(0, 1, "service", "MLP0", 1.0, 1.5, Vec::new());
-        t.instant(0, "fleet", "crash", 0.5, Vec::new());
+        let (mlp0, crash) = (t.intern("MLP0"), t.intern("crash"));
+        t.complete(0, 1, "service", mlp0, 5.0, 2.0, &[]);
+        t.complete(0, 1, "service", mlp0, 1.0, 1.5, &[]);
+        t.instant(0, "fleet", crash, 0.5, &[]);
         let text = t.render();
         let doc = serde_json::from_str(&text).expect("trace JSON parses");
         let Value::Object(map) = doc else {

@@ -179,3 +179,64 @@ proptest! {
         prop_assert_eq!(artifacts(seed), artifacts(seed));
     }
 }
+
+/// 64-bit FNV-1a: a stable digest for pinning artifact bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every artifact of one traced, metered, logged and monitored
+/// `rack-outage` run, rendered as the CLIs write them. The digests pin
+/// the bytes of the hand-written JSON writers: any change to number
+/// formatting, key order, escaping or indentation moves one of them.
+#[test]
+fn rack_outage_artifacts_are_byte_pinned() {
+    use tpu_repro::tpu_harness::telemetry::{take_monitor, TelemetryArgs};
+    let cfg = TpuConfig::paper();
+    let s = tpu_cluster::scenario_by_name("rack-outage")
+        .expect("scenario exists")
+        .with_seed(42)
+        .scale_requests(0.05);
+    let args = TelemetryArgs {
+        chrome_trace: Some("trace.json".into()),
+        metrics_out: Some("metrics.json".into()),
+        request_log: Some("requests.json".into()),
+        incidents_out: Some("incidents.json".into()),
+        ..TelemetryArgs::default()
+    };
+    let mut tels = args.for_runs(s.runs.len());
+    args.attach_monitors(&mut tels, s.topology);
+    s.execute_telemetry(&cfg, &mut tels);
+    assert_eq!(tels.len(), 1, "rack-outage is a single-run scenario");
+    let tel = &mut tels[0];
+    let incidents = take_monitor(tel).expect("monitor on").report();
+    let m = tel.metrics.as_ref().expect("metrics on");
+    let digests: Vec<(&str, u64)> = vec![
+        (
+            "chrome-trace",
+            fnv1a(&tel.tracer.as_ref().expect("trace on").render()),
+        ),
+        ("metrics.csv", fnv1a(&m.to_csv())),
+        (
+            "metrics.json",
+            fnv1a(&serde_json::to_string_pretty(&m.to_json())),
+        ),
+        (
+            "request-log",
+            fnv1a(&tel.requests.as_ref().expect("log on").render()),
+        ),
+        ("incidents.json", fnv1a(&incidents.render())),
+        ("incidents.txt", fnv1a(&incidents.render_text())),
+    ];
+    let expected: Vec<(&str, u64)> = vec![
+        ("chrome-trace", 0x433b5079630e05e4),
+        ("metrics.csv", 0x32840f6ec65c421c),
+        ("metrics.json", 0x879f1b9825e4559e),
+        ("request-log", 0x5276ec2388e94c4a),
+        ("incidents.json", 0x6a204a42c98de798),
+        ("incidents.txt", 0x64fa12a97f5c9de9),
+    ];
+    assert_eq!(digests, expected);
+}
