@@ -95,31 +95,13 @@ impl Value {
 /// `-0.0` renders as `0`, and `NaN` / `±inf` render as the non-JSON
 /// tokens `NaN` / `inf` / `-inf`; callers emit finite numbers only.
 pub fn write_number(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() < 9e15 {
-        // Integer digits by hand (at most 16 below 9e15): most numbers
-        // in the artifacts are ids and counts, and this skips the
-        // formatting machinery. `-0.0` is not below zero, so it
-        // renders as `0`.
-        let mut digits = [0u8; 16];
-        let mut i = digits.len();
-        let mut v = (n as i64).unsigned_abs();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        if n < 0.0 {
-            out.push('-');
-        }
-        out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    use fmt::Write;
+    // Writing into a `String` cannot fail. `-0.0 as i64` is `0`.
+    let _ = if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
     } else {
-        use fmt::Write;
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{n}");
-    }
+        write!(out, "{n}")
+    };
 }
 
 /// Append `s` as a quoted JSON string, escaping `"`, `\\`, and every

@@ -20,6 +20,7 @@
 
 use serde_json::{write_number, write_str};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Trace-event phase, mirroring the Chrome `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +38,7 @@ pub enum Phase {
 /// One recorded event. It owns no string: the name is an id into the
 /// recording [`Tracer`]'s name table and the category is static, so
 /// recording a span allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Event phase.
     pub phase: Phase,
@@ -307,9 +308,8 @@ impl Tracer {
             write_number(out, e.dur_ms * 1000.0);
         }
         if matches!(e.phase, Phase::AsyncBegin | Phase::AsyncEnd) {
-            out.push_str(",\"id\":\"0x");
-            write_hex(out, e.id);
-            out.push('"');
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, ",\"id\":\"0x{:x}\"", e.id);
         }
         out.push_str(",\"name\":");
         write_str(out, self.name(e.name));
@@ -370,19 +370,6 @@ impl Tracer {
                 total_ms,
             })
             .collect()
-    }
-}
-
-/// Append `id` in lowercase hex without leading zeros (`{:x}`).
-fn write_hex(out: &mut String, id: u64) {
-    let digits = (64 - id.leading_zeros()).div_ceil(4).max(1);
-    for k in (0..digits).rev() {
-        let nibble = ((id >> (4 * k)) & 0xf) as u8;
-        out.push(char::from(if nibble < 10 {
-            b'0' + nibble
-        } else {
-            b'a' + nibble - 10
-        }));
     }
 }
 
@@ -682,15 +669,6 @@ mod tests {
             .render()
             .contains(r#"{"args":{"a":0,"b":3},"cat":"fleet","#));
         assert_eq!(t.render(), oracle::to_string(&chrome_json(&t)));
-    }
-
-    #[test]
-    fn hex_ids_match_the_format_macro() {
-        for id in [0, 1, 0xf, 0x10, 0xdead_beef, 3 << 32, u64::MAX] {
-            let mut out = String::new();
-            write_hex(&mut out, id);
-            assert_eq!(out, format!("{id:x}"));
-        }
     }
 
     #[test]
