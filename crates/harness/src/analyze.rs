@@ -1,5 +1,5 @@
-//! The `analyze` subcommand shared by the `tpu_serve` and `tpu_cluster`
-//! CLIs.
+//! The `analyze` subcommand of the scenario CLI driver
+//! ([`crate::cli`]).
 //!
 //! `analyze <scenario>` executes the scenario with a requests-only
 //! telemetry set (no artifact files needed) and prints the
@@ -9,24 +9,22 @@
 //! the comparison over N seed replicates and prints the delta spread —
 //! for single-run scenarios the replicates themselves are the two
 //! sides.
-//!
-//! The CLIs differ only in scenario type, so each passes a closure that
-//! maps `(scenario, seed, scale)` to labelled [`RequestLog`]s; all flag
-//! parsing, pairing, and rendering lives here.
 
+use crate::cli::{configure, positive, set, switch, Cli, CliScenario, CommonArgs, SCENARIO_FLAGS};
 use crate::telemetry::artifact_path;
 use std::process::ExitCode;
 use tpu_analyze::{diff_runs, diff_spread, summarize_log, Attribution, RunSummary};
+use tpu_core::TpuConfig;
 use tpu_telemetry::{RequestLog, RunTelemetry, TelemetryConfig};
 
 /// Executes one scenario at `(name, seed, scale)` and returns its runs'
 /// labelled request logs, or a message for stderr.
-pub type CollectFn<'a> =
+type CollectFn<'a> =
     &'a dyn Fn(&str, Option<u64>, Option<f64>) -> Result<Vec<(String, RequestLog)>, String>;
 
 /// A requests-only telemetry set for `runs` runs (what the `analyze`
 /// subcommand instruments a scenario with).
-pub fn requests_only_tels(runs: usize) -> Vec<RunTelemetry> {
+fn requests_only_tels(runs: usize) -> Vec<RunTelemetry> {
     let cfg = TelemetryConfig {
         trace: false,
         metrics: None,
@@ -36,14 +34,11 @@ pub fn requests_only_tels(runs: usize) -> Vec<RunTelemetry> {
     (0..runs).map(|_| RunTelemetry::from_config(&cfg)).collect()
 }
 
+/// The flags only `analyze` takes; the shared ones are in `c`.
 #[derive(Default)]
 struct AnalyzeArgs {
-    name: Option<String>,
+    c: CommonArgs,
     input: Option<String>,
-    run_label: Option<String>,
-    seed: Option<u64>,
-    scale: Option<f64>,
-    json: bool,
     diff: bool,
     runs: usize,
     window: Option<f64>,
@@ -52,98 +47,71 @@ struct AnalyzeArgs {
     svg_tail: Option<String>,
 }
 
-/// Run the `analyze` subcommand for one CLI. `bin` names the binary in
-/// error messages; `usage` is its usage printer; `collect` executes a
-/// scenario and hands back labelled request logs.
-pub fn analyze_command(
-    bin: &str,
-    args: &[String],
-    usage: fn() -> ExitCode,
-    collect: CollectFn<'_>,
-) -> ExitCode {
+/// Run the `analyze` subcommand for `cli`'s scenario type.
+pub fn analyze_command<S: CliScenario>(cli: &Cli<S>, args: &[String]) -> Result<(), ExitCode> {
     let mut a = AnalyzeArgs {
         runs: 1,
         ..AnalyzeArgs::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => a.json = true,
-            "--diff" => a.diff = true,
-            "--input" => match it.next() {
-                Some(v) => a.input = Some(v.clone()),
-                None => return usage(),
-            },
-            "--run" => match it.next() {
-                Some(v) => a.run_label = Some(v.clone()),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => a.seed = Some(v),
-                None => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => a.scale = Some(v),
-                _ => return usage(),
-            },
-            "--runs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => a.runs = v,
-                _ => return usage(),
-            },
-            "--window" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => a.window = Some(v),
-                _ => return usage(),
-            },
-            "--svg-breakdown" => match it.next() {
-                Some(v) => a.svg_breakdown = Some(v.clone()),
-                None => return usage(),
-            },
-            "--svg-cdf" => match it.next() {
-                Some(v) => a.svg_cdf = Some(v.clone()),
-                None => return usage(),
-            },
-            "--svg-tail" => match it.next() {
-                Some(v) => a.svg_tail = Some(v.clone()),
-                None => return usage(),
-            },
-            other if !other.starts_with('-') && a.name.is_none() => {
-                a.name = Some(other.to_string())
+    a.c = cli.parse(args, SCENARIO_FLAGS, |flag, it| match flag {
+        "--diff" => switch(&mut a.diff),
+        "--input" => set(&mut a.input, it.next().cloned()),
+        "--runs" => match it.next().and_then(|v| v.parse().ok()) {
+            Some(v) if v >= 1 => {
+                a.runs = v;
+                true
             }
-            _ => return usage(),
-        }
-    }
-    if a.name.is_some() == a.input.is_some() {
-        eprintln!("{bin}: analyze needs a scenario name or --input LOG, not both or neither");
-        return usage();
+            _ => false,
+        },
+        "--window" => set(&mut a.window, it.next().and_then(|v| positive(v))),
+        "--svg-breakdown" => set(&mut a.svg_breakdown, it.next().cloned()),
+        "--svg-cdf" => set(&mut a.svg_cdf, it.next().cloned()),
+        "--svg-tail" => set(&mut a.svg_tail, it.next().cloned()),
+        _ => false,
+    })?;
+    if a.c.name.is_some() == a.input.is_some() {
+        eprintln!(
+            "{}: analyze needs a scenario name or --input LOG, not both or neither",
+            cli.bin
+        );
+        return Err((cli.usage)());
     }
     if a.diff && a.input.is_some() {
-        eprintln!("{bin}: --diff runs a scenario; to diff two files use `tpu_analyze diff`");
-        return usage();
+        eprintln!(
+            "{}: --diff runs a scenario; to diff two files use `tpu_analyze diff`",
+            cli.bin
+        );
+        return Err((cli.usage)());
     }
 
-    let result = if a.diff {
-        diff_flow(&a, collect)
-    } else {
-        attribution_flow(&a, collect)
+    let cfg = TpuConfig::paper();
+    let collect = |name: &str, seed, scale| -> Result<Vec<(String, RequestLog)>, String> {
+        let s = configure(cli.lookup(name)?, seed, scale);
+        let mut tels = requests_only_tels(s.run_labels().len());
+        let results = s.execute_telemetry(&cfg, &mut tels);
+        Ok(results
+            .into_iter()
+            .zip(tels)
+            .map(|((label, _), tel)| (label, tel.requests.expect("requested")))
+            .collect())
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{bin}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let result = if a.diff {
+        diff_flow(&a, &collect)
+    } else {
+        attribution_flow(&a, &collect)
+    };
+    result.map_err(|e| cli.fail(&e))
 }
 
 fn attribution_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), String> {
-    let logs = match (&a.input, &a.name) {
+    let logs = match (&a.input, &a.c.name) {
         (Some(path), _) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             vec![(path.clone(), RequestLog::parse(&text)?)]
         }
         (None, Some(name)) => {
-            let mut logs = collect(name, a.seed, a.scale)?;
-            if let Some(label) = &a.run_label {
+            let mut logs = collect(name, a.c.seed, a.c.scale)?;
+            if let Some(label) = &a.c.run {
                 logs.retain(|(l, _)| l == label);
                 if logs.is_empty() {
                     return Err(format!("scenario {name} has no run {label:?}"));
@@ -160,7 +128,7 @@ fn attribution_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), Strin
         if multi || a.input.is_none() {
             println!("-- {label}");
         }
-        if a.json {
+        if a.c.json {
             println!("{}", serde_json::to_string_pretty(&attribution.to_json()));
         } else {
             print!("{attribution}");
@@ -183,7 +151,7 @@ fn attribution_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), Strin
 }
 
 fn diff_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), String> {
-    let name = a.name.as_deref().expect("checked by the caller");
+    let name = a.c.name.as_deref().expect("checked by the caller");
     if a.svg_breakdown.is_some() || a.svg_cdf.is_some() || a.svg_tail.is_some() {
         return Err("--diff does not render SVGs; run analyze without --diff".to_string());
     }
@@ -191,9 +159,9 @@ fn diff_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), String> {
     // base seed; a single replicate keeps the scenario's own seed.
     let seed_for = |i: u64| {
         if a.runs == 1 {
-            a.seed
+            a.c.seed
         } else {
-            Some(a.seed.unwrap_or(1) + i)
+            Some(a.c.seed.unwrap_or(1) + i)
         }
     };
     let summarize = |label: &str, log: &RequestLog| RunSummary {
@@ -201,7 +169,7 @@ fn diff_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), String> {
         tenants: summarize_log(log),
     };
 
-    let first = collect(name, seed_for(0), a.scale)?;
+    let first = collect(name, seed_for(0), a.c.scale)?;
     if first.len() >= 2 {
         // Diff the scenario's first two runs, replicated over seeds.
         let pair = |logs: &[(String, RequestLog)]| {
@@ -212,9 +180,9 @@ fn diff_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), String> {
         };
         let mut diffs = vec![pair(&first)];
         for i in 1..a.runs as u64 {
-            diffs.push(pair(&collect(name, seed_for(i), a.scale)?));
+            diffs.push(pair(&collect(name, seed_for(i), a.c.scale)?));
         }
-        print_diffs(&diffs, a.json);
+        print_diffs(&diffs, a.c.json);
     } else {
         // One run: the seed replicates themselves are the two sides.
         if a.runs < 2 {
@@ -226,11 +194,11 @@ fn diff_flow(a: &AnalyzeArgs, collect: CollectFn<'_>) -> Result<(), String> {
         let base = summarize(&label(0), &first[0].1);
         let diffs: Result<Vec<_>, String> = (1..a.runs as u64)
             .map(|i| {
-                let rep = collect(name, seed_for(i), a.scale)?;
+                let rep = collect(name, seed_for(i), a.c.scale)?;
                 Ok(diff_runs(&base, &summarize(&label(i), &rep[0].1)))
             })
             .collect();
-        print_diffs(&diffs?, a.json);
+        print_diffs(&diffs?, a.c.json);
     }
     Ok(())
 }

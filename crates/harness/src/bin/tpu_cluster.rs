@@ -7,30 +7,36 @@
 //!
 //! ```text
 //! tpu_cluster list
-//! tpu_cluster run <scenario> [--seed N] [--requests-scale F] [--json] [--trace FILE]
+//! tpu_cluster run <scenario> [--seed N] [--requests-scale F] [--json] [--trace FILE] [--hosts N]
 //! tpu_cluster run --all [--json]
+//! tpu_cluster monitor <scenario> [--json] [--incidents-out FILE] [--svg-timeline FILE]
 //! tpu_cluster analyze <scenario>|--input LOG [--diff] [--runs N] [--json]
 //! tpu_cluster place <scenario> [--run LABEL] [--seed N] [--requests-scale F] [--json]
 //! tpu_cluster trace record <scenario> --out FILE [--run LABEL] [--seed N] [--requests-scale F]
 //! tpu_cluster trace import --csv FILE --out FILE [--source LABEL]
 //! ```
 //!
-//! `analyze` decomposes per-request latency into queue / swap-stall /
-//! service phases (from an in-memory run, or an existing
-//! `--request-log` artifact via `--input`); `--diff` compares a
-//! scenario's runs, and `--runs N` adds seed-replicate spread. `place`
-//! prints the placement plan a scenario's runs would start from —
-//! which host each replica lands on, per-host weight-memory fill and
-//! expected load — without simulating. `trace import` maps an external
+//! `list`, `run`, `analyze` and `trace` are the shared scenario driver,
+//! `tpu_harness::cli::Cli`, over `tpu_cluster::FleetScenario`; `tpu_serve`
+//! runs the same driver over single-host scenarios. This file holds only
+//! what is this binary's own: `run --hosts N`, which rebuilds
+//! `fleet-sweep` or `rack-outage` at N hosts, and the `monitor` and
+//! `place` subcommands, which parse their flags with the driver's
+//! parser. `monitor` runs one scenario with the streaming health monitor
+//! attached and prints its incident timeline. `place` prints the
+//! placement plan a scenario's runs would start from — which host each
+//! replica lands on, per-host weight-memory fill and expected load —
+//! without simulating. `analyze` decomposes per-request latency into
+//! queue / swap-stall / service phases; `trace import` maps an external
 //! `timestamp,tenant` CSV into `tpu-trace` v1.
 //!
 //! Exit codes: 0 success, 1 unknown scenario or bad trace, 2 usage.
 
 use std::process::ExitCode;
-use tpu_cluster::{all_scenarios, plan_placement, scenario_by_name, FleetScenario};
+use tpu_cluster::{plan_placement, FleetScenario, RACK_OUTAGE_DEFAULT_HOSTS};
 use tpu_core::TpuConfig;
-use tpu_harness::telemetry::{self, TelemetryArgs};
-use tpu_serve::workload::Trace;
+use tpu_harness::cli::{set, Cli, HostsFlag, SCENARIO_FLAGS};
+use tpu_harness::telemetry;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -56,564 +62,138 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            for s in all_scenarios() {
-                println!("{:<20} {}", s.name, s.description);
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => run_command(&args[1..]),
-        Some("monitor") => monitor_command(&args[1..]),
-        Some("analyze") => analyze_command(&args[1..]),
-        Some("place") => place_command(&args[1..]),
-        Some("trace") if args.get(1).map(String::as_str) == Some("record") => {
-            record_command(&args[2..])
-        }
-        Some("trace") if args.get(1).map(String::as_str) == Some("import") => {
-            tpu_harness::cli::trace_import_command("tpu_cluster", &args[2..], usage)
-        }
-        _ => usage(),
-    }
-}
-
-/// Shared `run`/`trace record` flag set.
-#[derive(Default)]
-struct CommonArgs {
-    name: Option<String>,
-    seed: Option<u64>,
-    scale: Option<f64>,
-}
-
-fn run_command(args: &[String]) -> ExitCode {
-    let mut common = CommonArgs::default();
-    let mut run_all = false;
-    let mut json = false;
-    let mut hosts: Option<usize> = None;
-    let mut trace_path: Option<String> = None;
-    let mut tel_args = TelemetryArgs::default();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--all" => run_all = true,
-            "--json" => json = true,
-            "--engine-stats" => tel_args.engine_stats = true,
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => common.seed = Some(v),
-                None => return usage(),
-            },
-            "--hosts" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 8 => hosts = Some(v),
-                _ => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => common.scale = Some(v),
-                _ => return usage(),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(v.clone()),
-                None => return usage(),
-            },
-            "--chrome-trace" => match it.next() {
-                Some(v) => tel_args.chrome_trace = Some(v.clone()),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => tel_args.metrics_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--metrics-interval" => match it.next() {
-                Some(raw) => match telemetry::parse_metrics_interval(raw) {
-                    Ok(v) => tel_args.metrics_interval_ms = Some(v),
-                    Err(e) => {
-                        eprintln!("tpu_cluster: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            "--svg" => match it.next() {
-                Some(v) => tel_args.svg = Some(v.clone()),
-                None => return usage(),
-            },
-            "--request-log" => match it.next() {
-                Some(v) => tel_args.request_log = Some(v.clone()),
-                None => return usage(),
-            },
-            "--monitor" => tel_args.monitor = true,
-            "--incidents-out" => match it.next() {
-                Some(v) => tel_args.incidents_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--monitor-interval" => match it.next() {
-                Some(raw) => match telemetry::parse_metrics_interval(raw) {
-                    Ok(v) => tel_args.monitor_interval_ms = Some(v),
-                    Err(e) => {
-                        eprintln!(
-                            "tpu_cluster: {}",
-                            e.replace("--metrics-interval", "--monitor-interval")
-                        );
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            other if !other.starts_with('-') && common.name.is_none() => {
-                common.name = Some(other.to_string())
-            }
-            _ => return usage(),
-        }
-    }
-    if run_all && tel_args.artifacts_requested() {
-        eprintln!("tpu_cluster: telemetry artifact flags need a single scenario, not --all");
-        return usage();
-    }
-
-    let scenarios: Vec<FleetScenario> = if run_all {
-        all_scenarios()
-    } else {
-        let Some(n) = common.name.as_deref() else {
-            return usage();
-        };
-        match scenario_by_name(n) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("tpu_cluster: unknown scenario {n:?}; try `tpu_cluster list`");
-                return ExitCode::FAILURE;
-            }
-        }
+    let cli = Cli {
+        bin: "tpu_cluster",
+        usage,
+        hosts: Some(HostsFlag {
+            min: RACK_OUTAGE_DEFAULT_HOSTS,
+            apply: with_hosts,
+        }),
     };
-    let scenarios: Vec<FleetScenario> = match (hosts, scenarios.first().map(|s| s.name)) {
-        (None, _) => scenarios,
-        (Some(h), Some("fleet-sweep")) if scenarios.len() == 1 && h >= 20 => {
-            vec![tpu_cluster::fleet_sweep(h)]
+    let done = match args.first().map(String::as_str) {
+        Some("monitor") => monitor_command(&cli, &args[1..]),
+        Some("place") => place_command(&cli, &args[1..]),
+        _ => return cli.main(&args),
+    };
+    done.err().unwrap_or(ExitCode::SUCCESS)
+}
+
+/// `run --hosts N`: rebuild fleet-sweep (N >= 20) or rack-outage
+/// (N >= 8) at N hosts; any other use is misuse.
+fn with_hosts(scenarios: Vec<FleetScenario>, hosts: usize) -> Result<Vec<FleetScenario>, ExitCode> {
+    match scenarios.as_slice() {
+        [s] if s.name == "fleet-sweep" && hosts >= 20 => Ok(vec![tpu_cluster::fleet_sweep(hosts)]),
+        [s] if s.name == "rack-outage" && hosts >= RACK_OUTAGE_DEFAULT_HOSTS => {
+            Ok(vec![tpu_cluster::rack_outage(hosts)])
         }
-        (Some(h), Some("rack-outage"))
-            if scenarios.len() == 1 && h >= tpu_cluster::RACK_OUTAGE_DEFAULT_HOSTS =>
-        {
-            vec![tpu_cluster::rack_outage(h)]
-        }
-        (Some(_), _) => {
+        _ => {
             eprintln!(
                 "tpu_cluster: --hosts re-parameterizes fleet-sweep (N >= 20) or \
                  rack-outage (N >= 8) only"
             );
-            return usage();
-        }
-    };
-
-    let trace = match trace_path.as_deref().map(Trace::load) {
-        None => None,
-        Some(Ok(t)) => Some(t),
-        Some(Err(e)) => {
-            eprintln!("tpu_cluster: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(t) = &trace {
-        for s in &scenarios {
-            for r in &s.runs {
-                if let Err(e) = t.covers(r.tenants.iter().map(|x| x.tenant.name.as_str())) {
-                    eprintln!("tpu_cluster: scenario {}: {e}", s.name);
-                    return ExitCode::FAILURE;
-                }
-            }
+            Err(usage())
         }
     }
-
-    let cfg = TpuConfig::paper();
-    for mut s in scenarios {
-        if let Some(seed) = common.seed {
-            s = s.with_seed(seed);
-        }
-        if let Some(f) = common.scale {
-            s = s.scale_requests(f);
-        }
-        // The trace applies last: it caps each tenant's request count
-        // at its recorded stream length, so a scaled-down run replays
-        // a prefix of the recording.
-        if let Some(t) = &trace {
-            s = s.with_trace(t);
-        }
-        // Fail on unwritable artifact paths before spending sim time.
-        let run_labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
-        if let Err(e) = tel_args.validate_artifact_paths(&run_labels) {
-            eprintln!("tpu_cluster: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("== {} — {}", s.name, s.description);
-        let mut tels = tel_args.for_runs(s.runs.len());
-        tel_args.attach_monitors(&mut tels, s.topology);
-        let instrumented = tels.iter().any(|t| t.enabled());
-        let started = std::time::Instant::now();
-        let results = if instrumented {
-            s.execute_telemetry(&cfg, &mut tels)
-        } else {
-            s.execute(&cfg)
-        };
-        let wall = started.elapsed();
-        for (i, (label, run)) in results.iter().enumerate() {
-            println!("\n-- {label}");
-            if json {
-                println!("{}", serde_json::to_string_pretty(&run.report.to_json()));
-            } else {
-                print!("{}", run.report);
-            }
-            if let Some(t) = tels[i].tracer.as_ref() {
-                for line in telemetry::span_summary_lines(t) {
-                    println!("{line}");
-                }
-            }
-        }
-        println!();
-        if tel_args.engine_stats {
-            // Off by default, and on stderr, so golden stdout (text or
-            // JSON) is untouched either way.
-            let events: u64 = results.iter().map(|(_, r)| r.report.events_processed).sum();
-            eprintln!(
-                "engine-stats: {}: events={events} wall_ms={:.3} events_per_sec={:.0}",
-                s.name,
-                wall.as_secs_f64() * 1e3,
-                events as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)
-            );
-            telemetry::print_engine_profiles(
-                s.name,
-                results.iter().map(|(l, _)| l.as_str()).zip(&tels),
-            );
-        }
-        let labels: Vec<&str> = results.iter().map(|(l, _)| l.as_str()).collect();
-        match telemetry::write_artifacts(&tel_args, &labels, &tels) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("telemetry: wrote {p}");
-                }
-            }
-            Err(e) => {
-                eprintln!("tpu_cluster: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // The monitor's summary goes to stderr (golden stdout stays
-        // untouched); `--incidents-out` additionally writes the report.
-        let multi = labels.len() > 1;
-        for (i, label) in labels.iter().enumerate() {
-            let Some(mon) = telemetry::take_monitor(&mut tels[i]) else {
-                continue;
-            };
-            let report = mon.report();
-            for line in report.render_text().lines() {
-                eprintln!("monitor: {}: {label}: {line}", s.name);
-            }
-            if let Some(base) = tel_args.incidents_out.as_deref() {
-                match telemetry::write_incidents(base, label, multi, &report) {
-                    Ok(p) => eprintln!("telemetry: wrote {p}"),
-                    Err(e) => {
-                        eprintln!("tpu_cluster: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// `monitor`: run one scenario with the streaming health monitor
 /// attached and print its incident timeline (text, or `tpu-incidents`
 /// JSON with `--json`), optionally writing the report and the
 /// timeline / fleet-heatmap SVGs.
-fn monitor_command(args: &[String]) -> ExitCode {
-    let mut common = CommonArgs::default();
-    let mut json = false;
-    let mut tel_args = TelemetryArgs {
-        monitor: true,
-        ..TelemetryArgs::default()
-    };
-    let mut svg_timeline: Option<String> = None;
-    let mut svg_heatmap: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => common.seed = Some(v),
-                None => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => common.scale = Some(v),
-                _ => return usage(),
-            },
-            "--incidents-out" => match it.next() {
-                Some(v) => tel_args.incidents_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--monitor-interval" => match it.next() {
-                Some(raw) => match telemetry::parse_metrics_interval(raw) {
-                    Ok(v) => tel_args.monitor_interval_ms = Some(v),
-                    Err(e) => {
-                        eprintln!(
-                            "tpu_cluster: {}",
-                            e.replace("--metrics-interval", "--monitor-interval")
-                        );
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            "--svg-timeline" => match it.next() {
-                Some(v) => svg_timeline = Some(v.clone()),
-                None => return usage(),
-            },
-            "--svg-heatmap" => match it.next() {
-                Some(v) => svg_heatmap = Some(v.clone()),
-                None => return usage(),
-            },
-            other if !other.starts_with('-') && common.name.is_none() => {
-                common.name = Some(other.to_string())
-            }
-            _ => return usage(),
-        }
-    }
-
-    let Some(n) = common.name.as_deref() else {
-        return usage();
-    };
-    let Some(mut s) = scenario_by_name(n) else {
-        eprintln!("tpu_cluster: unknown scenario {n:?}; try `tpu_cluster list`");
-        return ExitCode::FAILURE;
-    };
-    if let Some(seed) = common.seed {
-        s = s.with_seed(seed);
-    }
-    if let Some(f) = common.scale {
-        s = s.scale_requests(f);
-    }
-    let run_labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
-    if let Err(e) = tel_args.validate_artifact_paths(&run_labels) {
-        eprintln!("tpu_cluster: {e}");
-        return ExitCode::FAILURE;
-    }
+fn monitor_command(cli: &Cli<FleetScenario>, args: &[String]) -> Result<(), ExitCode> {
+    let (mut svg_timeline, mut svg_heatmap) = (None, None);
+    let flags = [
+        "--seed",
+        "--requests-scale",
+        "--json",
+        "--incidents-out",
+        "--monitor-interval",
+    ];
+    let mut c = cli.parse(args, &flags, |flag, it| match flag {
+        "--svg-timeline" => set(&mut svg_timeline, it.next().cloned()),
+        "--svg-heatmap" => set(&mut svg_heatmap, it.next().cloned()),
+        _ => false,
+    })?;
+    c.tel.monitor = true;
+    let s = cli.scenario(&c)?;
+    let labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
+    c.tel
+        .validate_artifact_paths(&labels)
+        .map_err(|e| cli.fail(&e))?;
 
     let cfg = TpuConfig::paper();
-    let mut tels = tel_args.for_runs(s.runs.len());
-    tel_args.attach_monitors(&mut tels, s.topology);
-    let results = s.execute_telemetry(&cfg, &mut tels);
-    let multi = results.len() > 1;
+    let mut tels = c.tel.for_runs(s.runs.len());
+    c.tel.attach_monitors(&mut tels, s.topology);
+    s.execute_telemetry(&cfg, &mut tels);
+    let multi = labels.len() > 1;
     println!("== {} — {}", s.name, s.description);
-    for (i, (label, _)) in results.iter().enumerate() {
-        let Some(mon) = telemetry::take_monitor(&mut tels[i]) else {
+    for (label, t) in labels.iter().zip(&mut tels) {
+        let Some(mon) = telemetry::take_monitor(t) else {
             continue;
         };
         let report = mon.report();
         println!("\n-- {label}");
-        if json {
+        if c.json {
             println!("{}", serde_json::to_string_pretty(&report.to_json()));
         } else {
             print!("{}", report.render_text());
         }
-        if let Some(base) = tel_args.incidents_out.as_deref() {
-            match telemetry::write_incidents(base, label, multi, &report) {
-                Ok(p) => eprintln!("telemetry: wrote {p}"),
-                Err(e) => {
-                    eprintln!("tpu_cluster: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        if let Some(base) = c.tel.incidents_out.as_deref() {
+            let p = telemetry::write_incidents(base, label, multi, &report)
+                .map_err(|e| cli.fail(&e))?;
+            eprintln!("telemetry: wrote {p}");
         }
-        if let Some(base) = svg_timeline.as_deref() {
+        if let Some(base) = &svg_timeline {
             let path = telemetry::artifact_path(base, label, multi);
-            match tpu_monitor::timeline_svg(&report) {
-                Ok(Some(svg)) => {
-                    if let Err(e) = std::fs::write(&path, svg) {
-                        eprintln!("tpu_cluster: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("telemetry: wrote {path}");
-                }
-                Ok(None) => eprintln!("telemetry: {path}: no incidents, nothing to draw"),
-                Err(e) => {
-                    eprintln!("tpu_cluster: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let svg = tpu_monitor::timeline_svg(&report);
+            write_svg(cli, &path, svg, "no incidents")?;
         }
-        if let Some(base) = svg_heatmap.as_deref() {
+        if let Some(base) = &svg_heatmap {
             let path = telemetry::artifact_path(base, label, multi);
-            match tpu_monitor::heatmap_svg(mon.history()) {
-                Ok(Some(svg)) => {
-                    if let Err(e) = std::fs::write(&path, svg) {
-                        eprintln!("tpu_cluster: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("telemetry: wrote {path}");
-                }
-                Ok(None) => eprintln!("telemetry: {path}: no history rows, nothing to draw"),
-                Err(e) => {
-                    eprintln!("tpu_cluster: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let svg = tpu_monitor::heatmap_svg(mon.history());
+            write_svg(cli, &path, svg, "no history rows")?;
         }
     }
     println!();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `analyze`: latency attribution and run diffing over the per-request
-/// record stream (in-memory, or from a `--request-log` artifact).
-fn analyze_command(args: &[String]) -> ExitCode {
-    let cfg = TpuConfig::paper();
-    tpu_harness::analyze::analyze_command("tpu_cluster", args, usage, &|name, seed, scale| {
-        let Some(mut s) = scenario_by_name(name) else {
-            return Err(format!("unknown scenario {name:?}; try `tpu_cluster list`"));
-        };
-        if let Some(seed) = seed {
-            s = s.with_seed(seed);
+/// Write one `monitor` SVG, or say why there was nothing to draw.
+fn write_svg(
+    cli: &Cli<FleetScenario>,
+    path: &str,
+    svg: Result<Option<String>, tpu_plot::PlotError>,
+    empty: &str,
+) -> Result<(), ExitCode> {
+    match svg.map_err(|e| cli.fail(&format!("{path}: {e}")))? {
+        Some(svg) => {
+            std::fs::write(path, svg).map_err(|e| cli.fail(&format!("{path}: {e}")))?;
+            eprintln!("telemetry: wrote {path}");
         }
-        if let Some(f) = scale {
-            s = s.scale_requests(f);
-        }
-        let mut tels = tpu_harness::analyze::requests_only_tels(s.runs.len());
-        let results = s.execute_telemetry(&cfg, &mut tels);
-        Ok(results
-            .into_iter()
-            .zip(tels)
-            .map(|((label, _), tel)| (label, tel.requests.expect("requested")))
-            .collect())
-    })
+        None => eprintln!("telemetry: {path}: {empty}, nothing to draw"),
+    }
+    Ok(())
 }
 
 /// `place`: print the plan each run of a scenario would start from,
 /// without simulating.
-fn place_command(args: &[String]) -> ExitCode {
-    let mut common = CommonArgs::default();
-    let mut json = false;
-    let mut run_label: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--run" => match it.next() {
-                Some(v) => run_label = Some(v.clone()),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => common.seed = Some(v),
-                None => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => common.scale = Some(v),
-                _ => return usage(),
-            },
-            other if !other.starts_with('-') && common.name.is_none() => {
-                common.name = Some(other.to_string())
-            }
-            _ => return usage(),
-        }
-    }
-
-    let Some(n) = common.name.as_deref() else {
-        return usage();
-    };
-    let Some(mut s) = scenario_by_name(n) else {
-        eprintln!("tpu_cluster: unknown scenario {n:?}; try `tpu_cluster list`");
-        return ExitCode::FAILURE;
-    };
-    if let Some(l) = run_label.as_deref() {
-        if !s.runs.iter().any(|r| r.label == l) {
-            let labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
-            eprintln!("tpu_cluster: scenario {n} has no run {l:?}; it has {labels:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(seed) = common.seed {
-        s = s.with_seed(seed);
-    }
-    if let Some(f) = common.scale {
-        s = s.scale_requests(f);
-    }
+fn place_command(cli: &Cli<FleetScenario>, args: &[String]) -> Result<(), ExitCode> {
+    let c = cli.parse(args, SCENARIO_FLAGS, |_, _| false)?;
+    let s = cli.scenario(&c)?;
     let cfg = TpuConfig::paper();
     println!("== {} — {}", s.name, s.description);
     for r in &s.runs {
-        if run_label.as_deref().is_some_and(|l| l != r.label) {
+        if c.run.as_deref().is_some_and(|l| l != r.label) {
             continue;
         }
         let plan = plan_placement(&r.spec, &r.tenants, &cfg);
         println!("\n-- {}", r.label);
-        if json {
+        if c.json {
             println!("{}", serde_json::to_string_pretty(&plan.to_json()));
         } else {
             print!("{plan}");
         }
     }
     println!();
-    ExitCode::SUCCESS
-}
-
-fn record_command(args: &[String]) -> ExitCode {
-    let mut common = CommonArgs::default();
-    let mut out: Option<String> = None;
-    let mut run_label: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--run" => match it.next() {
-                Some(v) => run_label = Some(v.clone()),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => common.seed = Some(v),
-                None => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => common.scale = Some(v),
-                _ => return usage(),
-            },
-            other if !other.starts_with('-') && common.name.is_none() => {
-                common.name = Some(other.to_string())
-            }
-            _ => return usage(),
-        }
-    }
-
-    let (Some(n), Some(out)) = (common.name.as_deref(), out) else {
-        return usage();
-    };
-    let Some(mut s) = scenario_by_name(n) else {
-        eprintln!("tpu_cluster: unknown scenario {n:?}; try `tpu_cluster list`");
-        return ExitCode::FAILURE;
-    };
-    if let Some(l) = run_label.as_deref() {
-        if !s.runs.iter().any(|r| r.label == l) {
-            let labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
-            eprintln!("tpu_cluster: scenario {n} has no run {l:?}; it has {labels:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(seed) = common.seed {
-        s = s.with_seed(seed);
-    }
-    if let Some(f) = common.scale {
-        s = s.scale_requests(f);
-    }
-    let trace = s.record_trace(run_label.as_deref());
-    if let Err(e) = trace.save(&out) {
-        eprintln!("tpu_cluster: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "recorded {} arrivals across {} tenants ({}) to {out}",
-        trace.total_arrivals(),
-        trace.tenants.len(),
-        trace.source
-    );
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -13,6 +13,10 @@
 //! tpu_serve trace import --csv FILE --out FILE [--source LABEL]
 //! ```
 //!
+//! Every subcommand is the shared scenario driver,
+//! `tpu_harness::cli::Cli`, over `tpu_serve::Scenario`; `tpu_cluster`
+//! runs the same driver over fleet scenarios, so the two take the same
+//! flags and print the same way. This file holds only the usage text.
 //! `analyze` decomposes per-request latency into queue / swap / service
 //! phases (from an in-memory run, or an existing `--request-log`
 //! artifact via `--input`); `--diff` compares runs. `trace import` maps
@@ -21,10 +25,8 @@
 //! Exit codes: 0 success, 1 unknown scenario or bad trace, 2 usage.
 
 use std::process::ExitCode;
-use tpu_core::TpuConfig;
-use tpu_harness::telemetry::{self, TelemetryArgs};
-use tpu_serve::workload::Trace;
-use tpu_serve::{all_scenarios, scenario_by_name, Scenario};
+use tpu_harness::cli::Cli;
+use tpu_serve::Scenario;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -45,330 +47,10 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            for s in all_scenarios() {
-                println!("{:<20} {}", s.name, s.description);
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => run_command(&args[1..]),
-        Some("analyze") => analyze_command(&args[1..]),
-        Some("trace") if args.get(1).map(String::as_str) == Some("record") => {
-            record_command(&args[2..])
-        }
-        Some("trace") if args.get(1).map(String::as_str) == Some("import") => {
-            tpu_harness::cli::trace_import_command("tpu_serve", &args[2..], usage)
-        }
-        _ => usage(),
-    }
-}
-
-/// Shared `run`/`trace record` flag set.
-#[derive(Default)]
-struct CommonArgs {
-    name: Option<String>,
-    seed: Option<u64>,
-    scale: Option<f64>,
-}
-
-fn run_command(args: &[String]) -> ExitCode {
-    let mut common = CommonArgs::default();
-    let mut run_all = false;
-    let mut json = false;
-    let mut trace_path: Option<String> = None;
-    let mut tel_args = TelemetryArgs::default();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--all" => run_all = true,
-            "--json" => json = true,
-            "--engine-stats" => tel_args.engine_stats = true,
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => common.seed = Some(v),
-                None => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => common.scale = Some(v),
-                _ => return usage(),
-            },
-            "--trace" => match it.next() {
-                Some(v) => trace_path = Some(v.clone()),
-                None => return usage(),
-            },
-            "--chrome-trace" => match it.next() {
-                Some(v) => tel_args.chrome_trace = Some(v.clone()),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => tel_args.metrics_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--metrics-interval" => match it.next() {
-                Some(raw) => match telemetry::parse_metrics_interval(raw) {
-                    Ok(v) => tel_args.metrics_interval_ms = Some(v),
-                    Err(e) => {
-                        eprintln!("tpu_serve: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            "--svg" => match it.next() {
-                Some(v) => tel_args.svg = Some(v.clone()),
-                None => return usage(),
-            },
-            "--request-log" => match it.next() {
-                Some(v) => tel_args.request_log = Some(v.clone()),
-                None => return usage(),
-            },
-            "--monitor" => tel_args.monitor = true,
-            "--incidents-out" => match it.next() {
-                Some(v) => tel_args.incidents_out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--monitor-interval" => match it.next() {
-                Some(raw) => match telemetry::parse_metrics_interval(raw) {
-                    Ok(v) => tel_args.monitor_interval_ms = Some(v),
-                    Err(e) => {
-                        eprintln!(
-                            "tpu_serve: {}",
-                            e.replace("--metrics-interval", "--monitor-interval")
-                        );
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            other if !other.starts_with('-') && common.name.is_none() => {
-                common.name = Some(other.to_string())
-            }
-            _ => return usage(),
-        }
-    }
-    if run_all && tel_args.artifacts_requested() {
-        eprintln!("tpu_serve: telemetry artifact flags need a single scenario, not --all");
-        return usage();
-    }
-
-    let scenarios: Vec<Scenario> = if run_all {
-        all_scenarios()
-    } else {
-        let Some(n) = common.name.as_deref() else {
-            return usage();
-        };
-        match scenario_by_name(n) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("tpu_serve: unknown scenario {n:?}; try `tpu_serve list`");
-                return ExitCode::FAILURE;
-            }
-        }
+    let cli: Cli<Scenario> = Cli {
+        bin: "tpu_serve",
+        usage,
+        hosts: None,
     };
-
-    let trace = match trace_path.as_deref().map(Trace::load) {
-        None => None,
-        Some(Ok(t)) => Some(t),
-        Some(Err(e)) => {
-            eprintln!("tpu_serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(t) = &trace {
-        for s in &scenarios {
-            for r in &s.runs {
-                if let Err(e) = t.covers(r.tenants.iter().map(|x| x.name.as_str())) {
-                    eprintln!("tpu_serve: scenario {}: {e}", s.name);
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-
-    let cfg = TpuConfig::paper();
-    for mut s in scenarios {
-        if let Some(seed) = common.seed {
-            s = s.with_seed(seed);
-        }
-        if let Some(f) = common.scale {
-            s = s.scale_requests(f);
-        }
-        // The trace applies last: it caps each tenant's request count
-        // at its recorded stream length, so a scaled-down run replays
-        // a prefix of the recording.
-        if let Some(t) = &trace {
-            s = s.with_trace(t);
-        }
-        // Fail on unwritable artifact paths before spending sim time.
-        let run_labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
-        if let Err(e) = tel_args.validate_artifact_paths(&run_labels) {
-            eprintln!("tpu_serve: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("== {} — {}", s.name, s.description);
-        let mut tels = tel_args.for_runs(s.runs.len());
-        // Single-host scenarios have no failure-domain topology.
-        tel_args.attach_monitors(&mut tels, None);
-        let instrumented = tels.iter().any(|t| t.enabled());
-        let started = std::time::Instant::now();
-        let results = if instrumented {
-            s.execute_telemetry(&cfg, &mut tels)
-        } else {
-            s.execute(&cfg)
-        };
-        let wall = started.elapsed();
-        for (i, (label, report)) in results.iter().enumerate() {
-            println!("\n-- {label}");
-            if json {
-                println!("{}", serde_json::to_string_pretty(&report.to_json()));
-            } else {
-                print!("{report}");
-            }
-            if let Some(t) = tels[i].tracer.as_ref() {
-                for line in telemetry::span_summary_lines(t) {
-                    println!("{line}");
-                }
-            }
-        }
-        println!();
-        if tel_args.engine_stats {
-            // Off by default, and on stderr, so golden stdout (text or
-            // JSON) is untouched either way.
-            let events: u64 = results.iter().map(|(_, r)| r.events_processed).sum();
-            eprintln!(
-                "engine-stats: {}: events={events} wall_ms={:.3} events_per_sec={:.0}",
-                s.name,
-                wall.as_secs_f64() * 1e3,
-                events as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)
-            );
-            telemetry::print_engine_profiles(
-                s.name,
-                results.iter().map(|(l, _)| l.as_str()).zip(&tels),
-            );
-        }
-        let labels: Vec<&str> = results.iter().map(|(l, _)| l.as_str()).collect();
-        match telemetry::write_artifacts(&tel_args, &labels, &tels) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("telemetry: wrote {p}");
-                }
-            }
-            Err(e) => {
-                eprintln!("tpu_serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // The monitor's summary goes to stderr (golden stdout stays
-        // untouched); `--incidents-out` additionally writes the report.
-        let multi = labels.len() > 1;
-        for (i, label) in labels.iter().enumerate() {
-            let Some(mon) = telemetry::take_monitor(&mut tels[i]) else {
-                continue;
-            };
-            let report = mon.report();
-            for line in report.render_text().lines() {
-                eprintln!("monitor: {}: {label}: {line}", s.name);
-            }
-            if let Some(base) = tel_args.incidents_out.as_deref() {
-                match telemetry::write_incidents(base, label, multi, &report) {
-                    Ok(p) => eprintln!("telemetry: wrote {p}"),
-                    Err(e) => {
-                        eprintln!("tpu_serve: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `analyze`: latency attribution and run diffing over the per-request
-/// record stream (in-memory, or from a `--request-log` artifact).
-fn analyze_command(args: &[String]) -> ExitCode {
-    let cfg = TpuConfig::paper();
-    tpu_harness::analyze::analyze_command("tpu_serve", args, usage, &|name, seed, scale| {
-        let Some(mut s) = scenario_by_name(name) else {
-            return Err(format!("unknown scenario {name:?}; try `tpu_serve list`"));
-        };
-        if let Some(seed) = seed {
-            s = s.with_seed(seed);
-        }
-        if let Some(f) = scale {
-            s = s.scale_requests(f);
-        }
-        let mut tels = tpu_harness::analyze::requests_only_tels(s.runs.len());
-        let results = s.execute_telemetry(&cfg, &mut tels);
-        Ok(results
-            .into_iter()
-            .zip(tels)
-            .map(|((label, _), tel)| (label, tel.requests.expect("requested")))
-            .collect())
-    })
-}
-
-fn record_command(args: &[String]) -> ExitCode {
-    let mut common = CommonArgs::default();
-    let mut out: Option<String> = None;
-    let mut run_label: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => return usage(),
-            },
-            "--run" => match it.next() {
-                Some(v) => run_label = Some(v.clone()),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => common.seed = Some(v),
-                None => return usage(),
-            },
-            "--requests-scale" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => common.scale = Some(v),
-                _ => return usage(),
-            },
-            other if !other.starts_with('-') && common.name.is_none() => {
-                common.name = Some(other.to_string())
-            }
-            _ => return usage(),
-        }
-    }
-
-    let (Some(n), Some(out)) = (common.name.as_deref(), out) else {
-        return usage();
-    };
-    let Some(mut s) = scenario_by_name(n) else {
-        eprintln!("tpu_serve: unknown scenario {n:?}; try `tpu_serve list`");
-        return ExitCode::FAILURE;
-    };
-    if let Some(l) = run_label.as_deref() {
-        if !s.runs.iter().any(|r| r.label == l) {
-            let labels: Vec<&str> = s.runs.iter().map(|r| r.label.as_str()).collect();
-            eprintln!("tpu_serve: scenario {n} has no run {l:?}; it has {labels:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(seed) = common.seed {
-        s = s.with_seed(seed);
-    }
-    if let Some(f) = common.scale {
-        s = s.scale_requests(f);
-    }
-    let trace = s.record_trace(run_label.as_deref());
-    if let Err(e) = trace.save(&out) {
-        eprintln!("tpu_serve: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "recorded {} arrivals across {} tenants ({}) to {out}",
-        trace.total_arrivals(),
-        trace.tenants.len(),
-        trace.source
-    );
-    ExitCode::SUCCESS
+    cli.main(&args)
 }

@@ -1,23 +1,22 @@
-//! Shared observability plumbing for the `tpu_serve` and `tpu_cluster`
-//! CLIs.
+//! Observability plumbing for the scenario CLI driver ([`crate::cli`]).
 //!
-//! Both binaries accept the same telemetry flag set (`--chrome-trace`,
-//! `--metrics-out`, `--metrics-interval`, `--svg`, `--request-log`,
-//! `--engine-stats`);
-//! this module turns the parsed flags into a
-//! [`tpu_telemetry::TelemetryConfig`], derives per-run artifact paths
-//! for multi-run scenarios, writes the artifacts (validating that every
-//! JSON document round-trips through `serde_json` before it hits disk),
-//! and renders the compact span summary and `--engine-stats` profile
-//! lines. Everything is driven off sim-time state recorded by the
-//! engines, so two same-seed runs write bit-identical files.
+//! [`crate::cli::Cli::parse`] fills a [`TelemetryArgs`] from the
+//! telemetry flags (`--chrome-trace`, `--metrics-out`,
+//! `--metrics-interval`, `--svg`, `--request-log`, `--engine-stats`,
+//! `--monitor`, `--incidents-out`, `--monitor-interval`). This module
+//! turns them into a [`tpu_telemetry::TelemetryConfig`] and health
+//! monitors, derives per-run artifact paths for multi-run scenarios,
+//! writes the artifacts (validating that every JSON document
+//! round-trips through `serde_json` before it hits disk), and renders
+//! the compact span summary and `--engine-stats` profile lines.
+//! Everything is driven off sim-time state recorded by the engines, so
+//! two same-seed runs write bit-identical files.
 
 use tpu_cluster::FleetTopology;
 use tpu_monitor::{FleetMonitor, IncidentReport, MonitorConfig};
 use tpu_telemetry::{MetricsConfig, MetricsRecorder, RunTelemetry, TelemetryConfig, Tracer};
 
-/// The telemetry flag set shared by `tpu_serve run` and
-/// `tpu_cluster run`.
+/// The telemetry flags of `run` (and, in part, `tpu_cluster monitor`).
 #[derive(Debug, Default, Clone)]
 pub struct TelemetryArgs {
     /// `--chrome-trace FILE`: write the Chrome trace-event JSON here.
@@ -178,20 +177,18 @@ pub fn write_incidents(
     Ok(path)
 }
 
-/// Parse a `--metrics-interval` value, rejecting zero, negative, and
-/// non-finite cadences with a message the CLIs print verbatim (the
-/// recorder would otherwise loop forever advancing by zero).
+/// Parse the value of an interval flag (`--metrics-interval`,
+/// `--monitor-interval`) by the CLI driver's one rule for real-valued
+/// flags, finite and positive (a recorder would otherwise loop forever
+/// advancing by zero), with a message naming `flag` that the CLIs print
+/// verbatim.
 ///
 /// # Errors
 ///
 /// A human-readable message quoting the rejected value.
-pub fn parse_metrics_interval(raw: &str) -> Result<f64, String> {
-    match raw.parse::<f64>() {
-        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
-        _ => Err(format!(
-            "--metrics-interval must be a positive number of sim-ms, got {raw:?}"
-        )),
-    }
+pub fn parse_interval(flag: &str, raw: &str) -> Result<f64, String> {
+    crate::cli::positive(raw)
+        .ok_or_else(|| format!("{flag} must be a positive number of sim-ms, got {raw:?}"))
 }
 
 /// The artifact path for one run: the base path as-is for single-run
@@ -420,11 +417,16 @@ mod tests {
 
     #[test]
     fn metrics_interval_parsing_rejects_degenerate_cadences() {
-        assert_eq!(parse_metrics_interval("2.5"), Ok(2.5));
-        for bad in ["0", "-1", "nan", "inf", "fast"] {
-            let err = parse_metrics_interval(bad).unwrap_err();
-            assert!(err.contains(bad), "{err} should quote {bad:?}");
-            assert!(err.contains("--metrics-interval"));
+        for flag in ["--metrics-interval", "--monitor-interval"] {
+            assert_eq!(parse_interval(flag, "2.5"), Ok(2.5));
+            for bad in ["0", "-1", "nan", "inf", "-inf", "1e999", "fast", ""] {
+                let err = parse_interval(flag, bad).unwrap_err();
+                assert!(
+                    err.contains(&format!("{bad:?}")),
+                    "{err} should quote {bad:?}"
+                );
+                assert!(err.starts_with(flag), "{err} should name {flag}");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `tpu_cluster` binary: scenario listing,
 //! seeded runs, JSON output, trace record/replay (including replay
-//! through `tpu_serve`), and exit codes for bad input.
+//! through `tpu_serve`), and exit codes for bad input. The error-path
+//! tests run on both binaries, which share one scenario driver.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -18,6 +19,16 @@ fn run_serve(args: &[&str]) -> Output {
         .output()
         .expect("binary runs")
 }
+
+/// Runs one binary with the given arguments.
+type Exec = fn(&[&str]) -> Output;
+
+/// Both binaries, by name, with a multi-run scenario of each and one of
+/// its run labels.
+const BINS: [(&str, Exec, &str, &str); 2] = [
+    ("tpu_serve", run_serve, "mlp0-burst", "steady"),
+    ("tpu_cluster", run, "trace-replay", "replay"),
+];
 
 /// A per-test temp path that cleans up on drop.
 struct TempFile(PathBuf);
@@ -351,31 +362,102 @@ fn trace_missing_a_scenario_tenant_fails_with_exit_one() {
 
 #[test]
 fn unknown_record_run_label_fails_with_exit_one() {
-    let out = run(&[
-        "trace",
-        "record",
-        "trace-replay",
-        "--run",
-        "typo",
-        "--out",
-        "/tmp/should_not_exist.trace.json",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("has no run"));
+    for (bin, exec, scenario, _) in BINS {
+        let out = exec(&[
+            "trace",
+            "record",
+            scenario,
+            "--run",
+            "typo",
+            "--out",
+            "/tmp/should_not_exist.trace.json",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{bin}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("has no run"),
+            "{bin}"
+        );
+    }
 }
 
 #[test]
 fn unknown_scenario_fails_with_exit_one() {
-    let out = run(&["run", "warehouse-scale"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scenario"));
+    for (bin, exec, _, _) in BINS {
+        let out = exec(&["run", "warehouse-scale"]);
+        assert_eq!(out.status.code(), Some(1), "{bin}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown scenario"),
+            "{bin}"
+        );
+    }
 }
 
 #[test]
 fn missing_arguments_fail_with_usage() {
-    for args in [&[][..], &["run"][..], &["run", "--seed", "x"][..]] {
-        let out = run(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+    for (bin, exec, _, _) in BINS {
+        for args in [&[][..], &["run"][..], &["run", "--seed", "x"][..]] {
+            let out = exec(args);
+            assert_eq!(out.status.code(), Some(2), "{bin} args {args:?}");
+        }
+    }
+}
+
+/// Non-finite numbers are usage errors on every real-valued flag. A
+/// `--requests-scale inf` once asked `trace record` for `usize::MAX`
+/// arrivals per tenant, and `analyze --window inf` once fell back to
+/// the default window without a word.
+#[test]
+fn non_finite_numbers_are_usage_errors() {
+    for (bin, exec, scenario, run_label) in BINS {
+        let out_path = TempFile::new(&format!("{bin}_inf.trace.json"));
+        for args in [
+            &[
+                "trace",
+                "record",
+                scenario,
+                "--requests-scale",
+                "inf",
+                "--out",
+                out_path.as_str(),
+            ][..],
+            &[
+                "trace",
+                "record",
+                scenario,
+                "--requests-scale",
+                "NaN",
+                "--out",
+                out_path.as_str(),
+            ][..],
+            &[
+                "analyze",
+                scenario,
+                "--run",
+                run_label,
+                "--requests-scale",
+                "0.02",
+                "--window",
+                "inf",
+            ][..],
+            &[
+                "analyze",
+                scenario,
+                "--requests-scale",
+                "0.02",
+                "--window",
+                "-inf",
+            ][..],
+        ] {
+            let out = exec(args);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.starts_with(&format!("usage: {bin} list")),
+                "{bin} {args:?}: {err}"
+            );
+            assert!(out.stdout.is_empty(), "{bin} {args:?}");
+        }
+        assert!(!out_path.0.exists(), "{bin}: no trace is written");
     }
 }
 
@@ -384,39 +466,32 @@ fn missing_arguments_fail_with_usage() {
 /// or JSON) never see it.
 #[test]
 fn engine_stats_go_to_stderr_and_leave_stdout_untouched() {
-    let plain = run(&["run", "fleet-steady", "--requests-scale", "0.02"]);
-    let stats = run(&[
-        "run",
-        "fleet-steady",
-        "--requests-scale",
-        "0.02",
-        "--engine-stats",
-    ]);
-    assert!(plain.status.success() && stats.status.success());
-    assert_eq!(plain.stdout, stats.stdout, "stdout must not change");
-    assert!(plain.stderr.is_empty());
-    let err = String::from_utf8_lossy(&stats.stderr);
-    assert!(
-        err.contains("engine-stats: fleet-steady:")
-            && err.contains("events=")
-            && err.contains("wall_ms=")
-            && err.contains("events_per_sec="),
-        "stderr: {err}"
-    );
-}
-
-#[test]
-fn serve_engine_stats_go_to_stderr_and_leave_stdout_untouched() {
-    let plain = run_serve(&["run", "mlp0-burst", "--requests-scale", "0.05", "--json"]);
-    let stats = run_serve(&[
-        "run",
-        "mlp0-burst",
-        "--requests-scale",
-        "0.05",
-        "--json",
-        "--engine-stats",
-    ]);
-    assert!(plain.status.success() && stats.status.success());
-    assert_eq!(plain.stdout, stats.stdout, "stdout must not change");
-    assert!(String::from_utf8_lossy(&stats.stderr).contains("engine-stats: mlp0-burst:"));
+    let cases: [(&str, Exec, &[&str]); 2] = [
+        (
+            "tpu_cluster",
+            run,
+            &["run", "fleet-steady", "--requests-scale", "0.02"],
+        ),
+        (
+            "tpu_serve",
+            run_serve,
+            &["run", "mlp0-burst", "--requests-scale", "0.05", "--json"],
+        ),
+    ];
+    for (bin, exec, args) in cases {
+        let plain = exec(args);
+        let stats = exec(&[args, &["--engine-stats"][..]].concat());
+        assert!(plain.status.success() && stats.status.success(), "{bin}");
+        assert_eq!(plain.stdout, stats.stdout, "{bin}: stdout must not change");
+        assert!(plain.stderr.is_empty(), "{bin}");
+        let err = String::from_utf8_lossy(&stats.stderr);
+        let scenario = args[1];
+        assert!(
+            err.contains(&format!("engine-stats: {scenario}:"))
+                && err.contains("events=")
+                && err.contains("wall_ms=")
+                && err.contains("events_per_sec="),
+            "{bin} stderr: {err}"
+        );
+    }
 }
