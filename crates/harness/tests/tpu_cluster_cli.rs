@@ -464,34 +464,37 @@ fn non_finite_numbers_are_usage_errors() {
 /// `--engine-stats` prints wall-clock / events / events-per-sec on
 /// *stderr* and leaves stdout byte-identical, so golden outputs (text
 /// or JSON) never see it.
+fn assert_engine_stats_on_stderr_only(bin: &str, exec: Exec, args: &[&str]) {
+    let plain = exec(args);
+    let stats = exec(&[args, &["--engine-stats"][..]].concat());
+    assert!(plain.status.success() && stats.status.success(), "{bin}");
+    assert_eq!(plain.stdout, stats.stdout, "{bin}: stdout must not change");
+    assert!(plain.stderr.is_empty(), "{bin}");
+    let err = String::from_utf8_lossy(&stats.stderr);
+    let scenario = args[1];
+    assert!(
+        err.contains(&format!("engine-stats: {scenario}:"))
+            && err.contains("events=")
+            && err.contains("wall_ms=")
+            && err.contains("events_per_sec="),
+        "{bin} stderr: {err}"
+    );
+}
+
 #[test]
 fn engine_stats_go_to_stderr_and_leave_stdout_untouched() {
-    let cases: [(&str, Exec, &[&str]); 2] = [
-        (
-            "tpu_cluster",
-            run,
-            &["run", "fleet-steady", "--requests-scale", "0.02"],
-        ),
-        (
-            "tpu_serve",
-            run_serve,
-            &["run", "mlp0-burst", "--requests-scale", "0.05", "--json"],
-        ),
-    ];
-    for (bin, exec, args) in cases {
-        let plain = exec(args);
-        let stats = exec(&[args, &["--engine-stats"][..]].concat());
-        assert!(plain.status.success() && stats.status.success(), "{bin}");
-        assert_eq!(plain.stdout, stats.stdout, "{bin}: stdout must not change");
-        assert!(plain.stderr.is_empty(), "{bin}");
-        let err = String::from_utf8_lossy(&stats.stderr);
-        let scenario = args[1];
-        assert!(
-            err.contains(&format!("engine-stats: {scenario}:"))
-                && err.contains("events=")
-                && err.contains("wall_ms=")
-                && err.contains("events_per_sec="),
-            "{bin} stderr: {err}"
-        );
-    }
+    assert_engine_stats_on_stderr_only(
+        "tpu_cluster",
+        run,
+        &["run", "fleet-steady", "--requests-scale", "0.02"],
+    );
+}
+
+#[test]
+fn serve_engine_stats_go_to_stderr_and_leave_stdout_untouched() {
+    assert_engine_stats_on_stderr_only(
+        "tpu_serve",
+        run_serve,
+        &["run", "mlp0-burst", "--requests-scale", "0.05", "--json"],
+    );
 }
